@@ -55,6 +55,9 @@ class TitanLikeDb {
   /// gap against the native engine.
   double pagerank_iteration_seconds() const;
 
+  /// The storage backend (read counts for the modelled I/O cost).
+  [[nodiscard]] const KvStore& store() const { return store_; }
+
  private:
   [[nodiscard]] std::vector<VertexId> fetch_neighbors(VertexId v) const;
 

@@ -57,23 +57,13 @@ BspStats run_partition_programs(
     std::uint64_t max_supersteps = 1'000'000) {
   CGRAPH_CHECK(shards.size() == cluster.num_machines());
 
+  // Crash recovery: superstep_count is stored post-loop, so a replay just
+  // stores it again. The ActivityBoard needs no checkpoint — every machine
+  // re-posts its flag each superstep before anyone reads it.
   ActivityBoard board(cluster.num_machines());
   std::atomic<std::uint64_t> superstep_count{0};
 
-  cluster.reset_clocks();
-  cluster.reset_telemetry();
-  cluster.fabric().reset_counters();
-  cluster.fabric().reset_delivery_state();
-  cluster.reset_protocol_state();
-
-  // Crash recovery: superstep_count is published post-loop (all-or-none),
-  // so a rollback just clears it. The ActivityBoard needs no checkpoint —
-  // every machine re-posts its flag each superstep before anyone reads it.
-  RunHooks hooks;
-  hooks.on_restore = [&] {
-    superstep_count.store(0, std::memory_order_relaxed);
-  };
-
+  cluster.reset_for_run();
   obs::TraceSpan span("bsp_run");
   WallTimer wall;
   cluster.run([&](MachineContext& mc) {
@@ -136,7 +126,7 @@ BspStats run_partition_programs(
     if (mc.id() == 0) {
       superstep_count.store(steps, std::memory_order_relaxed);
     }
-  }, hooks);
+  });
 
   BspStats stats;
   stats.wall_seconds = wall.seconds();

@@ -3,8 +3,8 @@
 #include <atomic>
 #include <mutex>
 
+#include "engine/superstep.hpp"
 #include "net/serialize.hpp"
-#include "obs/event_tracer.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -28,12 +28,7 @@ GasResult run_gas(Cluster& cluster, const std::vector<SubgraphShard>& shards,
   const VertexId num_vertices = shards.empty()
                                     ? 0
                                     : shards[0].num_global_vertices();
-  // Pin the snapshot the whole run reads (DESIGN.md §15); see
-  // run_distributed_msbfs for the isolation argument.
-  const Epoch epoch = snapshot_epoch == kEpochHead
-                          ? current_epoch(std::span<const SubgraphShard>(
-                                shards.data(), shards.size()))
-                          : snapshot_epoch;
+  const Epoch epoch = resolve_snapshot_epoch(shards, snapshot_epoch);
 
   GasResult result;
   result.values.assign(num_vertices, 0.0);
@@ -42,21 +37,13 @@ GasResult run_gas(Cluster& cluster, const std::vector<SubgraphShard>& shards,
   std::atomic<std::uint64_t> ptasks_total{0};
   std::atomic<std::uint64_t> stealwait_ns_total{0};
 
-  cluster.reset_clocks();
-  cluster.fabric().reset_counters();
-  cluster.fabric().reset_delivery_state();
-  cluster.reset_protocol_state();
+  cluster.reset_for_run();
 
   // Crash recovery: the per-iteration scatter/gather planes are re-derived
   // from `value` every iteration, so the checkpoint only carries the vertex
   // values (plus dedup + telemetry partials). The shared accumulators are
-  // published post-loop (all-or-none — crashes fire only at barriers), so
-  // on a rollback they just restart from zero.
-  RunHooks hooks;
-  hooks.on_restore = [&] {
-    ptasks_total.store(0, std::memory_order_relaxed);
-    stealwait_ns_total.store(0, std::memory_order_relaxed);
-  };
+  // published post-loop, after the last barrier (crashes fire only at
+  // barriers), so a rollback never has to undo them.
 
   WallTimer wall;
   cluster.run([&](MachineContext& mc) {
@@ -155,12 +142,7 @@ GasResult run_gas(Cluster& cluster, const std::vector<SubgraphShard>& shards,
       const auto vals = pr.read_vector<double>();
       CGRAPH_CHECK(vals.size() == value.size());
       std::copy(vals.begin(), vals.end(), value.begin());
-      const auto ck_epoch = pr.read<std::uint64_t>();
-      const auto ck_fp = pr.read<std::uint64_t>();
-      CGRAPH_CHECK_MSG(ck_epoch == epoch &&
-                           ck_fp == shard.mutation_fingerprint(epoch),
-                       "checkpoint delta tail mismatch: a restored run "
-                       "must see the snapshot the blob was cut against");
+      check_delta_tail(pr, shard, epoch);
     } else {
       for (VertexId i = 0; i < nlocal; ++i) {
         value[i] = program.init_value(range.begin + i, degrees[i],
@@ -178,15 +160,12 @@ GasResult run_gas(Cluster& cluster, const std::vector<SubgraphShard>& shards,
         pw.write<double>(my_steal);
         dedup.serialize(pw);
         pw.write_span<double>({value.data(), value.size()});
-        // Delta tail: the snapshot this blob was cut against (see the
-        // bit-parallel engine's checkpoint for the adoption argument).
-        pw.write<std::uint64_t>(epoch);
-        pw.write<std::uint64_t>(shard.mutation_fingerprint(epoch));
+        write_delta_tail(pw, shard, epoch);
       });
 
-      const bool tracing = obs::tracing_enabled();
-      const double scan_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      WallTimer phase_wall;
+      // Scatter = the "scan" half of a GAS iteration.
+      const PhaseSpan scan(mc, obs::TraceEventPhase::kSuperstepScan,
+                           static_cast<std::int32_t>(iter));
       // --- Scatter phase: compute outgoing contribution per local vertex.
       // Each slot is written by exactly one pool thread.
       const ParallelForStats scatter_stats = parallel_ranges(
@@ -209,29 +188,15 @@ GasResult run_gas(Cluster& cluster, const std::vector<SubgraphShard>& shards,
         w.write_span(std::span<const ScatterRecord>(records));
         mc.send(q, kScatterTag, w.take());
       }
-      if (tracing) {
-        // Scatter = the "scan" half of a GAS iteration.
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepScan;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(iter);
-        ev.sim_seconds = scan_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - scan_sim_t0;
-        ev.wall_dur_ns = phase_wall.nanos();
-        ev.a = static_cast<double>(nlocal);
-        obs::trace(ev);
-      }
+      scan.end(static_cast<double>(nlocal));
       mc.barrier();
 
-      const double commit_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      phase_wall.reset();
+      // Gather+apply = the "commit" half of a GAS iteration.
+      const PhaseSpan commit(mc, obs::TraceEventPhase::kSuperstepCommit,
+                             static_cast<std::int32_t>(iter));
       for (Envelope& env : mc.recv_staged()) {
         CGRAPH_CHECK(env.tag == kScatterTag);
-        if (!dedup.accept(env.from, env.seq)) {
-          mc.cluster().fabric().record_dedup_suppressed(mc.id());
-          continue;
-        }
+        if (!accept_once(mc, dedup, env)) continue;
         PacketReader r(env.payload);
         for (const ScatterRecord& rec : r.read_vector<ScatterRecord>()) {
           scatter_remote[rec.vertex] = rec.value;
@@ -310,19 +275,8 @@ GasResult run_gas(Cluster& cluster, const std::vector<SubgraphShard>& shards,
       my_ptasks += scatter_stats.tasks + gather_stats.tasks;
       my_steal +=
           scatter_stats.join_wait_seconds + gather_stats.join_wait_seconds;
-      if (tracing) {
-        // Gather+apply = the "commit" half of a GAS iteration.
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepCommit;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(iter);
-        ev.sim_seconds = commit_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - commit_sim_t0;
-        ev.wall_dur_ns = phase_wall.nanos();
-        ev.a = static_cast<double>(edges_acc.load(std::memory_order_relaxed));
-        obs::trace(ev);
-      }
+      commit.end(
+          static_cast<double>(edges_acc.load(std::memory_order_relaxed)));
       mc.barrier();  // iteration boundary: everyone advances together
 
       if (mc.id() == 0) {
@@ -343,7 +297,7 @@ GasResult run_gas(Cluster& cluster, const std::vector<SubgraphShard>& shards,
     stealwait_ns_total.fetch_add(
         static_cast<std::uint64_t>(my_steal * 1e9),
         std::memory_order_relaxed);
-  }, hooks);
+  });
 
   result.stats.iterations = iterations;
   result.stats.wall_seconds = wall.seconds();

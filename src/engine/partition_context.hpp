@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "engine/superstep.hpp"
 #include "graph/partition.hpp"
 #include "graph/shard.hpp"
 #include "net/cluster.hpp"
@@ -155,10 +156,7 @@ class PartitionContext {
     incoming_.swap(local_loopback_);
     for (Envelope& env : mc_.recv_staged()) {
       CGRAPH_CHECK(env.tag == kVertexMsgTag);
-      if (!dedup_.accept(env.from, env.seq)) {
-        mc_.cluster().fabric().record_dedup_suppressed(mc_.id());
-        continue;
-      }
+      if (!accept_once(mc_, dedup_, env)) continue;
       PacketReader r(env.payload);
       auto msgs = r.template read_vector<VertexMessage<M>>();
       incoming_.insert(incoming_.end(), msgs.begin(), msgs.end());

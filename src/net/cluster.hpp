@@ -184,7 +184,7 @@ struct PendingSend {
 
 /// Reliable-async protocol state for one machine. Owned by the Cluster and
 /// persistent across runs (a MachineContext is a per-run view into it), so
-/// engines MUST clear it at run start via Cluster::reset_protocol_state():
+/// engines MUST clear it at run start via Cluster::reset_for_run():
 /// a stale unacked send would retransmit under the new run's sequence
 /// numbering and poison the receiver's dedup window, and a stale failure
 /// would release termination credits that belong to a previous batch.
@@ -399,8 +399,8 @@ class Cluster {
   void arm_resume(ClusterResumePackage pkg);
 
   /// Clear every machine's persistent reliable-async protocol state
-  /// (pending retransmissions, surfaced failures, dedup windows). Engines
-  /// call this alongside fabric().reset_delivery_state() at run start; a
+  /// (pending retransmissions, surfaced failures, dedup windows). Part of
+  /// reset_for_run(), alongside fabric().reset_delivery_state(); a
   /// previous run's leftovers would corrupt the new run (stale seqs poison
   /// dedup, stale failures double-release credits).
   void reset_protocol_state() {
@@ -416,6 +416,16 @@ class Cluster {
   void reset_clocks() {
     for (auto& c : clocks_) c.reset();
     step_start_ns_ = 0;
+  }
+
+  /// Run-start reset every engine performs before run(): clocks, barrier
+  /// telemetry, fabric counters and delivery state, async protocol state.
+  void reset_for_run() {
+    reset_clocks();
+    reset_telemetry();
+    fabric_.reset_counters();
+    fabric_.reset_delivery_state();
+    reset_protocol_state();
   }
 
   /// Barrier/superstep telemetry since the last reset_telemetry(). Safe to

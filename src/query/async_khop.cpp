@@ -2,8 +2,8 @@
 
 #include <atomic>
 
+#include "engine/superstep.hpp"
 #include "net/serialize.hpp"
-#include "obs/event_tracer.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
@@ -34,6 +34,10 @@ MsBfsBatchResult run_async_khop(Cluster& cluster,
   CGRAPH_CHECK(Q > 0);
   CGRAPH_CHECK(shards.size() == cluster.num_machines());
   const PartitionId P = cluster.num_machines();
+  // Pin the snapshot every relaxation reads (DESIGN.md §15). Async
+  // recovery re-relaxes from each machine's own checkpoint, so the blob's
+  // delta tail guards that replay against a different mutation state.
+  const Epoch epoch = resolve_snapshot_epoch(shards, kEpochHead);
 
   MsBfsBatchResult result;
   result.visited.assign(Q, 0);
@@ -58,11 +62,7 @@ MsBfsBatchResult run_async_khop(Cluster& cluster,
   std::atomic<std::uint64_t> edges_total{0};
   std::atomic<std::uint64_t> state_bytes_total{0};
 
-  cluster.reset_clocks();
-  cluster.reset_telemetry();
-  cluster.fabric().reset_counters();
-  cluster.fabric().reset_delivery_state();
-  cluster.reset_protocol_state();
+  cluster.reset_for_run();
   obs::TraceSpan span("run_async_khop");
   WallTimer wall;
 
@@ -129,6 +129,7 @@ MsBfsBatchResult run_async_khop(Cluster& cluster,
           }
         }
       }
+      check_delta_tail(pr, shard, epoch);
     } else {
       // Seed local sources at depth 0.
       for (std::size_t q = 0; q < Q; ++q) {
@@ -210,12 +211,13 @@ MsBfsBatchResult run_async_khop(Cluster& cluster,
         for (std::size_t q = 0; q < Q; ++q) {
           pw.write_span<Depth>({depth[q].data(), depth[q].size()});
         }
+        write_delta_tail(pw, shard, epoch);
       });
 
-      // Process a chunk, then loop back to the poll.
-      const bool tracing = obs::tracing_enabled();
-      const double scan_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      WallTimer phase_wall;
+      // Process a chunk, then loop back to the poll. Async has no
+      // supersteps: each worked poll-loop pass is one scan span (level -1
+      // marks "not a BSP level").
+      const PhaseSpan scan(mc, obs::TraceEventPhase::kSuperstepScan, -1);
       const std::uint64_t queued_before = queue.size();
       std::uint64_t chunk_edges = 0;
       for (std::size_t n = 0; n < kChunk && !queue.empty(); ++n) {
@@ -233,7 +235,7 @@ MsBfsBatchResult run_async_khop(Cluster& cluster,
                                     seen, mine, std::memory_order_relaxed)) {
           }
         }
-        shard.out_sets().for_each_neighbor(task.target, [&](VertexId t) {
+        shard.for_each_out_neighbor_at(task.target, epoch, [&](VertexId t) {
           ++chunk_edges;
           const Depth nd = static_cast<Depth>(task.depth + 1);
           if (range.contains(t)) {
@@ -251,20 +253,8 @@ MsBfsBatchResult run_async_khop(Cluster& cluster,
       }
       my_edges += chunk_edges;
       mc.charge_compute(chunk_edges);
-      if (tracing) {
-        // Async has no supersteps: each worked poll-loop pass is one scan
-        // span (level -1 marks "not a BSP level").
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepScan;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.sim_seconds = scan_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - scan_sim_t0;
-        ev.wall_dur_ns = phase_wall.nanos();
-        ev.a = static_cast<double>(chunk_edges);
-        ev.b = static_cast<double>(queued_before);
-        obs::trace(ev);
-      }
+      scan.end(static_cast<double>(chunk_edges),
+               static_cast<double>(queued_before));
       for (PartitionId to = 0; to < P; ++to) flush(to);
     }
 

@@ -2,19 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <type_traits>
 
+#include "engine/superstep.hpp"
 #include "net/serialize.hpp"
-#include "obs/event_tracer.hpp"
+#include "query/paths.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace cgraph {
 namespace {
 
 constexpr std::uint32_t kVisitTag = 0x56495354;  // 'VIST'
-constexpr std::size_t kMaxLevels = 256;
 
 /// Wire record: "visit vertex `target` for query `query` at depth `depth`"
 /// — the sendTo(t, t.hops) of paper Listing 2.
@@ -24,84 +24,36 @@ struct VisitTask {
   Depth depth;
 };
 
-}  // namespace
+/// VisitTask extended with the discovering parent (found paths, §4.2).
+struct ParentTask {
+  VertexId target;
+  VertexId parent;
+  QueryId query;
+  Depth depth;
+};
 
-MsBfsBatchResult run_distributed_khop(
-    Cluster& cluster, const std::vector<SubgraphShard>& shards,
-    const RangePartition& partition, std::span<const KHopQuery> batch,
-    Epoch snapshot_epoch) {
+/// The queue k-hop body. With kPaths every discovery also records its BFS
+/// parent: remote discoveries ship ParentTask records, and each machine's
+/// per-query parent lists travel in its checkpoint blob. `parents_out`
+/// (kPaths only) receives the per-query lists, machine by machine.
+template <bool kPaths>
+MsBfsBatchResult run_queue_khop(Cluster& cluster,
+                                const std::vector<SubgraphShard>& shards,
+                                const RangePartition& partition,
+                                std::span<const KHopQuery> batch,
+                                Epoch snapshot_epoch,
+                                std::vector<ParentList>* parents_out) {
+  using Task = std::conditional_t<kPaths, ParentTask, VisitTask>;
   const std::size_t Q = batch.size();
-  CGRAPH_CHECK(Q > 0);
-  CGRAPH_CHECK(shards.size() == cluster.num_machines());
-  // Pin the snapshot the whole batch reads (DESIGN.md §15); see
-  // run_distributed_msbfs for the isolation argument.
-  const Epoch epoch = snapshot_epoch == kEpochHead
-                          ? current_epoch(std::span<const SubgraphShard>(
-                                shards.data(), shards.size()))
-                          : snapshot_epoch;
-
-  MsBfsBatchResult result;
-  result.visited.assign(Q, 0);
-  result.levels.assign(Q, 0);
-  result.completion_wall_seconds.assign(Q, 0.0);
-  result.completion_sim_seconds.assign(Q, 0.0);
-
-  // Shared per-level activity planes (bit q = query q's next frontier is
-  // non-empty somewhere), same reduction scheme as the bit-parallel engine.
-  const std::size_t W = words_for_bits(Q);
-  CGRAPH_CHECK_MSG(W <= QueryBitRows::kMaxBatchWords,
-                   "batch exceeds activity-plane capacity");
-  std::vector<std::atomic<Word>> nonempty_planes(kMaxLevels * W);
-  for (auto& a : nonempty_planes) a.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<std::uint64_t>> visited_accum(Q);
-  for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> edges_total{0};
-  std::atomic<std::uint64_t> state_bytes_total{0};
-
-  // Per-level telemetry planes (frontier = queued tasks, bit_ops = visited
-  // bitmap test-and-set operations).
-  std::vector<std::atomic<std::uint64_t>> lvl_frontier(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_edges(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_bitops(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_ptasks(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_stealwait_ns(kMaxLevels);
-  for (std::size_t i = 0; i < kMaxLevels; ++i) {
-    lvl_frontier[i].store(0, std::memory_order_relaxed);
-    lvl_edges[i].store(0, std::memory_order_relaxed);
-    lvl_bitops[i].store(0, std::memory_order_relaxed);
-    lvl_ptasks[i].store(0, std::memory_order_relaxed);
-    lvl_stealwait_ns[i].store(0, std::memory_order_relaxed);
-  }
-
-  cluster.reset_clocks();
-  cluster.reset_telemetry();
-  cluster.fabric().reset_counters();
-  cluster.fabric().reset_delivery_state();
-  cluster.reset_protocol_state();
-  WallTimer wall;
-
-  // Crash recovery: after a rollback to checkpointed level L, clear every
-  // shared accumulator the replayed levels will re-contribute to, so the
-  // recovered run's results and telemetry stay bit-exact (replayed work is
-  // counted exactly once).
-  RunHooks hooks;
-  hooks.on_restore = [&] {
-    const std::size_t from_level = static_cast<std::size_t>(
-        cluster.checkpoint_store().latest_common_step() / 2);
-    for (std::size_t l = from_level; l < kMaxLevels; ++l) {
-      for (std::size_t w = 0; w < W; ++w) {
-        nonempty_planes[l * W + w].store(0, std::memory_order_relaxed);
-      }
-      lvl_frontier[l].store(0, std::memory_order_relaxed);
-      lvl_edges[l].store(0, std::memory_order_relaxed);
-      lvl_bitops[l].store(0, std::memory_order_relaxed);
-      lvl_ptasks[l].store(0, std::memory_order_relaxed);
-      lvl_stealwait_ns[l].store(0, std::memory_order_relaxed);
-    }
-    for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-    edges_total.store(0, std::memory_order_relaxed);
-    state_bytes_total.store(0, std::memory_order_relaxed);
-  };
+  LevelRun run(cluster, shards, Q, snapshot_epoch);
+  const Epoch epoch = run.epoch();
+  std::vector<Depth> ks(Q);
+  for (std::size_t q = 0; q < Q; ++q) ks[q] = batch[q].k;
+  // Per machine, per query: the (vertex, parent) pairs that machine
+  // discovered, flattened. Each vertex is discovered on exactly one machine
+  // (its owner), so the lists are disjoint and concatenate in machine order.
+  std::vector<std::vector<std::vector<VertexId>>> machine_parents(
+      kPaths ? cluster.num_machines() : 0);
 
   cluster.run([&](MachineContext& mc) {
     const SubgraphShard& shard = shards[mc.id()];
@@ -113,47 +65,30 @@ MsBfsBatchResult run_distributed_khop(
 
     // Exactly-once application of exchanged task packets: the visited
     // bitmap makes task application idempotent anyway, but a duplicated
-    // packet must not re-queue vertices into `next`, so packets are
-    // filtered by (sender, seq) before decoding.
-    DedupFilter dedup;
+    // packet must not re-queue vertices into `next`, so the level
+    // machine's dedup window filters packets by (sender, seq) first.
+    LevelMachine lm(run, mc, shard, ks);
 
     // Per-query state: visited bitmap over local vertices and the current
     // level's task queue (local vertex ids, global numbering).
     std::vector<Bitmap> visited(Q);
     std::vector<std::vector<VertexId>> frontier(Q);
     std::vector<std::vector<VertexId>> next(Q);
+    std::vector<std::vector<VertexId>> parents(kPaths ? Q : 0);
     for (std::size_t q = 0; q < Q; ++q) visited[q].resize(nlocal);
 
-    std::vector<bool> done(Q, false);
-    std::size_t done_count = 0;
-    std::uint64_t my_edges = 0;
-    Depth start_level = 0;
-
-    if (auto ckpt = mc.restore_checkpoint()) {
-      // Re-entering after a crash: resume from the checkpointed level. The
-      // link/clock state was already rolled back by the cluster, so the
-      // replay is bit-exact.
-      PacketReader pr(*ckpt);
-      start_level = static_cast<Depth>(pr.read<std::uint32_t>());
-      done_count = static_cast<std::size_t>(pr.read<std::uint64_t>());
-      for (std::size_t q = 0; q < Q; ++q) {
-        done[q] = pr.read<std::uint8_t>() != 0;
-      }
-      my_edges = pr.read<std::uint64_t>();
-      dedup.deserialize(pr);
-      for (std::size_t q = 0; q < Q; ++q) {
-        const auto words = pr.read_vector<Word>();
-        CGRAPH_CHECK(words.size() == visited[q].size_words());
-        std::copy(words.begin(), words.end(), visited[q].data());
-        frontier[q] = pr.read_vector<VertexId>();
-      }
-      const auto ck_epoch = pr.read<std::uint64_t>();
-      const auto ck_fp = pr.read<std::uint64_t>();
-      CGRAPH_CHECK_MSG(ck_epoch == epoch &&
-                           ck_fp == shard.mutation_fingerprint(epoch),
-                       "checkpoint delta tail mismatch: a restored run "
-                       "must see the snapshot the blob was cut against");
-    } else {
+    // Re-entering after a crash resumes from the checkpointed level. The
+    // link/clock state was already rolled back by the cluster, so the
+    // replay is bit-exact.
+    if (!lm.restore([&](PacketReader& pr) {
+          for (std::size_t q = 0; q < Q; ++q) {
+            const auto words = pr.read_vector<Word>();
+            CGRAPH_CHECK(words.size() == visited[q].size_words());
+            std::copy(words.begin(), words.end(), visited[q].data());
+            frontier[q] = pr.read_vector<VertexId>();
+            if constexpr (kPaths) parents[q] = pr.read_vector<VertexId>();
+          }
+        })) {
       for (std::size_t q = 0; q < Q; ++q) {
         if (range.contains(batch[q].source)) {
           visited[q].set(batch[q].source - range.begin);
@@ -161,48 +96,34 @@ MsBfsBatchResult run_distributed_khop(
         }
       }
     }
-    state_bytes_total.fetch_add(
-        Q * (words_for_bits(nlocal) * sizeof(Word)),
-        std::memory_order_relaxed);
 
     // Outgoing remote tasks, bucketed per (query, owner machine) so pool
     // threads never share a bucket; merged per owner in query order below.
     const std::size_t M = mc.num_machines();
-    std::vector<std::vector<VisitTask>> outbox(Q * M);
-    std::vector<VisitTask> merged;
+    std::vector<std::vector<Task>> outbox(Q * M);
+    std::vector<Task> merged;
 
-    for (Depth level = start_level; done_count < Q; ++level) {
+    for (Depth level = lm.start_level(); lm.running(); ++level) {
       // Top of level = the consistent cut: staged mailboxes are empty,
-      // outboxes drained and `next` queues just swapped away, so (level,
-      // done, dedup, visited, frontier) is the machine's whole recoverable
-      // state.
-      mc.maybe_checkpoint([&](PacketWriter& pw) {
-        pw.write<std::uint32_t>(level);
-        pw.write<std::uint64_t>(done_count);
-        for (std::size_t q = 0; q < Q; ++q) {
-          pw.write<std::uint8_t>(done[q] ? 1 : 0);
-        }
-        pw.write<std::uint64_t>(my_edges);
-        dedup.serialize(pw);
+      // outboxes drained and `next` queues just swapped away, so visited,
+      // frontier (and parents) are this engine's whole share of the blob.
+      lm.checkpoint(level, [&](PacketWriter& pw) {
         for (std::size_t q = 0; q < Q; ++q) {
           pw.write_span<Word>({visited[q].data(), visited[q].size_words()});
           pw.write_span<VertexId>(
               {frontier[q].data(), frontier[q].size()});
+          if constexpr (kPaths) {
+            pw.write_span<VertexId>({parents[q].data(), parents[q].size()});
+          }
         }
-        // Delta tail: the snapshot this blob was cut against (see the
-        // bit-parallel engine's checkpoint for the adoption argument).
-        pw.write<std::uint64_t>(epoch);
-        pw.write<std::uint64_t>(shard.mutation_fingerprint(epoch));
       });
-      const bool tracing = obs::tracing_enabled();
-      const double scan_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      WallTimer phase_wall;
+      const PhaseSpan scan(mc, obs::TraceEventPhase::kSuperstepScan, level);
       // --- Expand every active query's local frontier (Listing 2 body).
       // Pool threads claim ranges of queries: all of query q's state
-      // (visited[q], next[q], its outbox row) is touched by exactly one
-      // thread, and the merged per-destination packets below are assembled
-      // in query order, so queue contents and wire bytes are identical to
-      // the serial scatter for any thread count.
+      // (visited[q], next[q], parents[q], its outbox row) is touched by
+      // exactly one thread, and the merged per-destination packets below
+      // are assembled in query order, so queue contents and wire bytes are
+      // identical to the serial scatter for any thread count.
       std::atomic<std::uint64_t> edges_acc{0};
       std::atomic<std::uint64_t> tasks_acc{0};
       std::atomic<std::uint64_t> tnset_acc{0};
@@ -224,13 +145,22 @@ MsBfsBatchResult run_distributed_khop(
                     ++chunk_tnset;
                     if (visited[q].atomic_test_and_set(t - range.begin)) {
                       next[q].push_back(t);  // Q.push(t)
+                      if constexpr (kPaths) {
+                        parents[q].insert(parents[q].end(), {t, s});
+                      }
                     }
                   } else {
                     // sendTo(t, t.hops): dedup at the receiver's visited
                     // set.
-                    outbox[q * M + partition.owner(t)].push_back(
-                        {t, static_cast<QueryId>(q),
-                         static_cast<Depth>(level + 1)});
+                    const auto depth = static_cast<Depth>(level + 1);
+                    const auto query = static_cast<QueryId>(q);
+                    if constexpr (kPaths) {
+                      outbox[q * M + partition.owner(t)].push_back(
+                          {t, s, query, depth});
+                    } else {
+                      outbox[q * M + partition.owner(t)].push_back(
+                          {t, query, depth});
+                    }
                   }
                 });
               }
@@ -244,67 +174,53 @@ MsBfsBatchResult run_distributed_khop(
       const std::uint64_t level_tasks =
           tasks_acc.load(std::memory_order_relaxed);
       std::uint64_t level_tnset = tnset_acc.load(std::memory_order_relaxed);
-      my_edges += level_edges;
+      lm.count_edges(level_edges);
       mc.charge_compute(level_edges);
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepScan;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = scan_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - scan_sim_t0;
-        ev.wall_dur_ns = phase_wall.nanos();
-        ev.a = static_cast<double>(level_edges);
-        ev.b = static_cast<double>(level_tasks);
-        obs::trace(ev);
-      }
+      scan.end(static_cast<double>(level_edges),
+               static_cast<double>(level_tasks));
 
       for (PartitionId to = 0; to < M; ++to) {
         merged.clear();
         for (std::size_t q = 0; q < Q; ++q) {
-          std::vector<VisitTask>& bucket = outbox[q * M + to];
+          std::vector<Task>& bucket = outbox[q * M + to];
           merged.insert(merged.end(), bucket.begin(), bucket.end());
           bucket.clear();
         }
         if (merged.empty()) continue;
         PacketWriter pw;
-        pw.write_span(std::span<const VisitTask>(merged));
+        pw.write_span(std::span<const Task>(merged));
         mc.send(to, kVisitTag, pw.take());
       }
       mc.barrier();  // ---- exchange remote task buffers ----
 
-      const double commit_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      phase_wall.reset();
+      const PhaseSpan commit(mc, obs::TraceEventPhase::kSuperstepCommit,
+                             level);
       std::uint64_t staged_envelopes = 0;
       for (Envelope& env : mc.recv_staged()) {
         ++staged_envelopes;
         CGRAPH_CHECK(env.tag == kVisitTag);
-        if (!dedup.accept(env.from, env.seq)) {
-          mc.cluster().fabric().record_dedup_suppressed(mc.id());
-          continue;
-        }
+        if (!lm.accept(env)) continue;
         PacketReader pr(env.payload);
-        for (const VisitTask& task : pr.read_vector<VisitTask>()) {
+        for (const Task& task : pr.read_vector<Task>()) {
           CGRAPH_DCHECK(range.contains(task.target));
           ++level_tnset;
           if (visited[task.query].atomic_test_and_set(task.target -
                                                       range.begin)) {
             next[task.query].push_back(task.target);
+            if constexpr (kPaths) {
+              parents[task.query].insert(parents[task.query].end(),
+                                         {task.target, task.parent});
+            }
           }
         }
       }
-      lvl_frontier[static_cast<std::size_t>(level)].fetch_add(
-          level_tasks, std::memory_order_relaxed);
-      lvl_edges[static_cast<std::size_t>(level)].fetch_add(
-          level_edges, std::memory_order_relaxed);
-      lvl_bitops[static_cast<std::size_t>(level)].fetch_add(
-          level_tnset, std::memory_order_relaxed);
-      lvl_ptasks[static_cast<std::size_t>(level)].fetch_add(
-          scatter_stats.tasks, std::memory_order_relaxed);
-      lvl_stealwait_ns[static_cast<std::size_t>(level)].fetch_add(
-          static_cast<std::uint64_t>(scatter_stats.join_wait_seconds * 1e9),
-          std::memory_order_relaxed);
+      obs::LevelTrace lt;  // this machine's share of the level's trace
+      lt.frontier_vertices = level_tasks;
+      lt.edges_scanned = level_edges;
+      lt.bit_ops = level_tnset;
+      lt.parallel_tasks = scatter_stats.tasks;
+      lt.steal_wait_seconds = scatter_stats.join_wait_seconds;
+      lm.record_level(level, lt);
 
       // --- Publish activity, advance queues.
       {
@@ -314,89 +230,54 @@ MsBfsBatchResult run_distributed_khop(
             local_nonempty[q / kWordBits] |= Word{1} << (q % kWordBits);
           }
         }
-        for (std::size_t w = 0; w < W; ++w) {
-          if (local_nonempty[w] != 0) {
-            nonempty_planes[static_cast<std::size_t>(level) * W + w]
-                .fetch_or(local_nonempty[w], std::memory_order_acq_rel);
-          }
-        }
+        lm.publish_nonempty(level, local_nonempty);
       }
       for (std::size_t q = 0; q < Q; ++q) {
         frontier[q].swap(next[q]);  // Q.pop of the drained level
         next[q].clear();
       }
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepCommit;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = commit_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - commit_sim_t0;
-        ev.wall_dur_ns = phase_wall.nanos();
-        ev.a = static_cast<double>(staged_envelopes);
-        obs::trace(ev);
-      }
+      commit.end(static_cast<double>(staged_envelopes));
       mc.barrier();  // ---- level close ----
 
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (done[q]) continue;
-        const Word plane =
-            nonempty_planes[static_cast<std::size_t>(level) * W +
-                            q / kWordBits]
-                .load(std::memory_order_acquire);
-        const bool empty_next = ((plane >> (q % kWordBits)) & 1u) == 0;
-        const bool k_exhausted = static_cast<Depth>(level + 1) >= batch[q].k;
-        if (empty_next || k_exhausted) {
-          done[q] = true;
-          ++done_count;
-          if (mc.id() == 0) {
-            result.levels[q] = static_cast<Depth>(level + 1);
-            result.completion_wall_seconds[q] = wall.seconds();
-            result.completion_sim_seconds[q] = mc.clock().seconds();
-          }
-        }
-      }
-      if (mc.id() == 0) result.total_levels = static_cast<Depth>(level + 1);
-      CGRAPH_CHECK_MSG(static_cast<std::size_t>(level) + 1 < kMaxLevels,
-                       "traversal exceeded level cap");
+      lm.close_level(level);
     }
 
     for (std::size_t q = 0; q < Q; ++q) {
-      visited_accum[q].fetch_add(visited[q].count(),
-                                 std::memory_order_relaxed);
+      run.add_visited(q, visited[q].count());
     }
-    edges_total.fetch_add(my_edges, std::memory_order_relaxed);
-  }, hooks);
+    lm.finish(Q * (words_for_bits(nlocal) * sizeof(Word)));
+    if constexpr (kPaths) machine_parents[mc.id()] = std::move(parents);
+  });
 
-  for (std::size_t q = 0; q < Q; ++q) {
-    const std::uint64_t v = visited_accum[q].load(std::memory_order_relaxed);
-    result.visited[q] = v > 0 ? v - 1 : 0;
-  }
-  result.wall_seconds = wall.seconds();
-  result.sim_seconds = cluster.sim_seconds();
-  result.edges_scanned = edges_total.load(std::memory_order_relaxed);
-  result.frontier_bytes = state_bytes_total.load(std::memory_order_relaxed);
-
-  // Each traversal level runs two barriers (task exchange + level close), so
-  // level l pairs with superstep telemetry records 2l and 2l+1.
-  const auto& steps = cluster.telemetry().supersteps;
-  for (std::size_t l = 0; l < result.total_levels; ++l) {
-    obs::LevelTrace lt;
-    lt.level = static_cast<std::uint32_t>(l);
-    lt.frontier_vertices = lvl_frontier[l].load(std::memory_order_relaxed);
-    lt.edges_scanned = lvl_edges[l].load(std::memory_order_relaxed);
-    lt.bit_ops = lvl_bitops[l].load(std::memory_order_relaxed);
-    lt.parallel_tasks = lvl_ptasks[l].load(std::memory_order_relaxed);
-    lt.steal_wait_seconds =
-        static_cast<double>(
-            lvl_stealwait_ns[l].load(std::memory_order_relaxed)) *
-        1e-9;
-    for (std::size_t s = 2 * l; s < 2 * l + 2 && s < steps.size(); ++s) {
-      lt.barrier_wait_sim_seconds += steps[s].barrier_wait_sim_seconds;
+  if constexpr (kPaths) {
+    parents_out->assign(Q, {});
+    for (const auto& mp : machine_parents) {
+      for (std::size_t q = 0; q < Q; ++q) {
+        for (std::size_t i = 0; i < mp[q].size(); i += 2) {
+          (*parents_out)[q].emplace_back(mp[q][i], mp[q][i + 1]);
+        }
+      }
     }
-    result.level_trace.push_back(lt);
   }
+  return run.finish(std::vector<std::uint64_t>(Q, 1));
+}
+
+}  // namespace
+
+MsBfsBatchResult run_distributed_khop(
+    Cluster& cluster, const std::vector<SubgraphShard>& shards,
+    const RangePartition& partition, std::span<const KHopQuery> batch,
+    Epoch snapshot_epoch) {
+  return run_queue_khop<false>(cluster, shards, partition, batch,
+                               snapshot_epoch, nullptr);
+}
+
+KhopPathsResult run_distributed_khop_paths(
+    Cluster& cluster, const std::vector<SubgraphShard>& shards,
+    const RangePartition& partition, std::span<const KHopQuery> batch) {
+  KhopPathsResult result;
+  result.base = run_queue_khop<true>(cluster, shards, partition, batch,
+                                     kEpochHead, &result.parents);
   return result;
 }
 

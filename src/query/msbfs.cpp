@@ -16,8 +16,6 @@ namespace cgraph {
 namespace {
 
 constexpr std::uint32_t kRemoteDiscoverTag = 0x52444953;  // 'RDIS'
-// Depth is uint8_t, so no traversal can exceed 255 levels; +1 slack.
-constexpr std::size_t kMaxLevels = 256;
 
 // Sparse top-down scans iterate the active-row queue instead of testing
 // every row once the queue is this many times smaller than the vertex
@@ -385,13 +383,6 @@ MsBfsBatchResult run_distributed_msbfs_core(
     const DirectionOptions& direction, QueryBitRows* visited_out,
     Epoch snapshot_epoch) {
   const std::size_t Q = batch.size();
-  // Resolve the snapshot: kEpochHead pins the batch to the shards' epoch
-  // at entry, so writers appending events for later epochs never change
-  // what this batch sees (snapshot isolation, DESIGN.md §15).
-  const Epoch epoch = snapshot_epoch == kEpochHead
-                          ? current_epoch(std::span<const SubgraphShard>(
-                                shards.data(), shards.size()))
-                          : snapshot_epoch;
   CGRAPH_CHECK(Q > 0);
   CGRAPH_CHECK_MSG(Q <= QueryBitRows::kMaxBatchWords * kWordBits,
                    "batch exceeds bit-parallel capacity");
@@ -407,79 +398,11 @@ MsBfsBatchResult run_distributed_msbfs_core(
     }
   }
 
-  MsBfsBatchResult result;
-  result.visited.assign(Q, 0);
-  result.levels.assign(Q, 0);
-  result.completion_wall_seconds.assign(Q, 0.0);
-  result.completion_sim_seconds.assign(Q, 0.0);
+  LevelRun run(cluster, shards, Q, snapshot_epoch);
+  const Epoch epoch = run.epoch();
   if (visited_out != nullptr) {
     *visited_out = QueryBitRows(num_vertices, Q);
   }
-
-  // Shared reduction planes, one row per level so no reset/race dance is
-  // needed: machines OR their local next-frontier masks for level L into
-  // plane L before the level's closing barrier, everyone reads after.
-  std::vector<std::atomic<Word>> nonempty_planes(kMaxLevels * W);
-  for (auto& a : nonempty_planes) a.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<std::uint64_t>> visited_accum(Q);
-  for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> edges_total{0};
-  std::atomic<std::uint64_t> frontier_bytes_total{0};
-
-  // Per-level telemetry planes (same indexing as nonempty_planes). Pool
-  // join waits are stored as integer nanoseconds so machines can fetch_add
-  // without requiring atomic<double> RMW support.
-  std::vector<std::atomic<std::uint64_t>> lvl_frontier(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_edges(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_bitops(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_ptasks(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_stealwait_ns(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_push(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_pull(kMaxLevels);
-  std::vector<std::atomic<std::uint64_t>> lvl_scout(kMaxLevels);
-  for (std::size_t i = 0; i < kMaxLevels; ++i) {
-    lvl_frontier[i].store(0, std::memory_order_relaxed);
-    lvl_edges[i].store(0, std::memory_order_relaxed);
-    lvl_bitops[i].store(0, std::memory_order_relaxed);
-    lvl_ptasks[i].store(0, std::memory_order_relaxed);
-    lvl_stealwait_ns[i].store(0, std::memory_order_relaxed);
-    lvl_push[i].store(0, std::memory_order_relaxed);
-    lvl_pull[i].store(0, std::memory_order_relaxed);
-    lvl_scout[i].store(0, std::memory_order_relaxed);
-  }
-
-  cluster.reset_clocks();
-  cluster.reset_telemetry();
-  cluster.fabric().reset_counters();
-  cluster.fabric().reset_delivery_state();
-  cluster.reset_protocol_state();
-  WallTimer wall;
-
-  // Crash recovery: after a rollback to checkpointed level L, clear every
-  // shared accumulator the replayed levels will re-contribute to, so the
-  // recovered run's results and telemetry stay bit-exact (replayed work is
-  // counted exactly once).
-  RunHooks hooks;
-  hooks.on_restore = [&] {
-    const std::size_t from_level = static_cast<std::size_t>(
-        cluster.checkpoint_store().latest_common_step() / 2);
-    for (std::size_t l = from_level; l < kMaxLevels; ++l) {
-      for (std::size_t w = 0; w < W; ++w) {
-        nonempty_planes[l * W + w].store(0, std::memory_order_relaxed);
-      }
-      lvl_frontier[l].store(0, std::memory_order_relaxed);
-      lvl_edges[l].store(0, std::memory_order_relaxed);
-      lvl_bitops[l].store(0, std::memory_order_relaxed);
-      lvl_ptasks[l].store(0, std::memory_order_relaxed);
-      lvl_stealwait_ns[l].store(0, std::memory_order_relaxed);
-      lvl_push[l].store(0, std::memory_order_relaxed);
-      lvl_pull[l].store(0, std::memory_order_relaxed);
-      lvl_scout[l].store(0, std::memory_order_relaxed);
-    }
-    for (auto& a : visited_accum) a.store(0, std::memory_order_relaxed);
-    edges_total.store(0, std::memory_order_relaxed);
-    frontier_bytes_total.store(0, std::memory_order_relaxed);
-  };
 
   cluster.run([&](MachineContext& mc) {
     const SubgraphShard& shard = shards[mc.id()];
@@ -505,49 +428,21 @@ MsBfsBatchResult run_distributed_msbfs_core(
     const bool mutating = shard.has_mutations();
 
     // Discover bits are OR-ed (idempotent), so duplicated packets cannot
-    // corrupt state — the filter keeps delivery exactly-once so the
-    // dedup-suppression counters reconcile under fault plans.
-    DedupFilter dedup;
+    // corrupt state — the level machine's dedup window keeps delivery
+    // exactly-once so the suppression counters reconcile under fault
+    // plans.
+    LevelMachine lm(run, mc, shard, batch.ks);
 
     BatchFrontier bf(nlocal, Q);
-    frontier_bytes_total.fetch_add(bf.memory_bytes(),
-                                   std::memory_order_relaxed);
-
-    std::vector<bool> done(Q, false);
-    std::size_t done_count = 0;
-    std::uint64_t my_edges = 0;
-    Depth start_level = 0;
     bool pulling = false;
 
-    if (auto ckpt = mc.restore_checkpoint()) {
-      // Re-entering after a crash: resume from the checkpointed level
-      // instead of re-seeding. The link/clock state was already rolled
-      // back by the cluster, so the replay is bit-exact.
-      PacketReader pr(*ckpt);
-      start_level = static_cast<Depth>(pr.read<std::uint32_t>());
-      done_count = static_cast<std::size_t>(pr.read<std::uint64_t>());
-      for (std::size_t q = 0; q < Q; ++q) {
-        done[q] = pr.read<std::uint8_t>() != 0;
-      }
-      my_edges = pr.read<std::uint64_t>();
-      dedup.deserialize(pr);
-      bf.deserialize(pr);
-      pulling = pr.read<std::uint8_t>() != 0;
-      if (mc.id() == 0) {
-        result.total_levels = static_cast<Depth>(pr.read<std::uint32_t>());
-        for (std::size_t q = 0; q < Q; ++q) {
-          result.levels[q] = static_cast<Depth>(pr.read<std::uint32_t>());
-          result.completion_wall_seconds[q] = pr.read<double>();
-          result.completion_sim_seconds[q] = pr.read<double>();
-        }
-      }
-      const auto ck_epoch = pr.read<std::uint64_t>();
-      const auto ck_fp = pr.read<std::uint64_t>();
-      CGRAPH_CHECK_MSG(ck_epoch == epoch &&
-                           ck_fp == shard.mutation_fingerprint(epoch),
-                       "checkpoint delta tail mismatch: a restored run "
-                       "must see the snapshot the blob was cut against");
-    } else {
+    // Re-entering after a crash resumes from the checkpointed level
+    // instead of re-seeding. The link/clock state was already rolled back
+    // by the cluster, so the replay is bit-exact.
+    if (!lm.restore([&](PacketReader& pr) {
+          bf.deserialize(pr);
+          pulling = pr.read<std::uint8_t>() != 0;
+        })) {
       for (std::size_t q = 0; q < Q; ++q) {
         for (VertexId source : batch.seeds[q]) {
           CGRAPH_CHECK(source < num_vertices);
@@ -572,38 +467,13 @@ MsBfsBatchResult run_distributed_msbfs_core(
     std::vector<VertexId> touched;
     Bitmap touched_bm(num_vertices);
 
-    for (Depth level = start_level; done_count < Q; ++level) {
+    for (Depth level = lm.start_level(); lm.running(); ++level) {
       // Top of level = the consistent cut: staged mailboxes are empty and
-      // the next plane was just cleared, so (level, done, dedup, planes,
-      // direction hysteresis) is the machine's whole recoverable state.
-      mc.maybe_checkpoint([&](PacketWriter& pw) {
-        pw.write<std::uint32_t>(level);
-        pw.write<std::uint64_t>(done_count);
-        for (std::size_t q = 0; q < Q; ++q) {
-          pw.write<std::uint8_t>(done[q] ? 1 : 0);
-        }
-        pw.write<std::uint64_t>(my_edges);
-        dedup.serialize(pw);
+      // the next plane was just cleared, so the planes and the direction
+      // hysteresis are this engine's whole share of the blob.
+      lm.checkpoint(level, [&](PacketWriter& pw) {
         bf.serialize(pw);
         pw.write<std::uint8_t>(pulling ? 1 : 0);
-        if (mc.id() == 0) {
-          // Machine 0 owns the per-query completion metadata. A restore on
-          // this cluster keeps `result` alive by reference, but a surviving
-          // replica adopting this cut starts with zeroed result arrays, so
-          // pre-cut completions must travel inside the blob.
-          pw.write<std::uint32_t>(result.total_levels);
-          for (std::size_t q = 0; q < Q; ++q) {
-            pw.write<std::uint32_t>(result.levels[q]);
-            pw.write<double>(result.completion_wall_seconds[q]);
-            pw.write<double>(result.completion_sim_seconds[q]);
-          }
-        }
-        // Delta tail: pins the snapshot this blob was cut against. A
-        // rollback on this cluster (or a surviving replica adopting the
-        // cut) must replay against byte-identical mutation state, or the
-        // replayed scans would diverge from the pre-crash ones.
-        pw.write<std::uint64_t>(epoch);
-        pw.write<std::uint64_t>(shard.mutation_fingerprint(epoch));
       });
 
       const WordRow expand = expand_mask_for_level(batch.ks, level);
@@ -611,26 +481,16 @@ MsBfsBatchResult run_distributed_msbfs_core(
       const TraversalDirection used = decide_direction(
           direction, can_pull, pulling, occ, my_total_out_edges, nlocal);
       pulling = used == TraversalDirection::kPull;
-      (pulling ? lvl_pull : lvl_push)[level].fetch_add(
-          1, std::memory_order_relaxed);
-      lvl_scout[level].fetch_add(occ.scout_edges,
-                                 std::memory_order_relaxed);
+      // This machine's share of the level's LevelTrace.
+      obs::LevelTrace lt;
+      lt.push_machines = pulling ? 0 : 1;
+      lt.pull_machines = pulling ? 1 : 0;
+      lt.scout_edges = occ.scout_edges;
 
-      const bool tracing = obs::tracing_enabled();
-      const double scan_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      WallTimer phase_wall;
-
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kDirectionChoice;
-        ev.kind = obs::TraceEventKind::kInstant;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = scan_sim_t0;
-        ev.a = pulling ? 1.0 : 0.0;
-        ev.b = static_cast<double>(occ.scout_edges);
-        obs::trace(ev);
-      }
+      // Scan span: occupancy pre-scan + edge scan + compute charge. Sim
+      // duration is exactly this level's charged compute time.
+      const PhaseSpan scan(mc, obs::TraceEventPhase::kSuperstepScan, level);
+      trace_direction_choice(mc, level, pulling, occ.scout_edges);
 
       // --- Telemetry: local frontier occupancy entering this level.
       std::atomic<std::uint64_t> frontier_acc{0};
@@ -648,8 +508,7 @@ MsBfsBatchResult run_distributed_msbfs_core(
           });
       const std::uint64_t level_frontier =
           frontier_acc.load(std::memory_order_relaxed);
-      lvl_frontier[level].fetch_add(level_frontier,
-                                    std::memory_order_relaxed);
+      lt.frontier_vertices = level_frontier;
 
       const EdgeSetGrid& grid = shard.out_sets();
       std::atomic<std::uint64_t> edges_acc{0};
@@ -841,39 +700,23 @@ MsBfsBatchResult run_distributed_msbfs_core(
           edges_acc.load(std::memory_order_relaxed) + pull_examined;
       const std::uint64_t level_rows =
           rows_acc.load(std::memory_order_relaxed);
-      my_edges += level_edges;
-      lvl_edges[level].fetch_add(level_edges, std::memory_order_relaxed);
+      lm.count_edges(level_edges);
+      lt.edges_scanned = level_edges;
       // Bitmap words touched this level. Push: occupancy pre-scan +
       // per-row frontier masks + three word-ops per discovered neighbor
       // row, plus the occupancy publish scan below. Pull: the same
       // pre/publish scans, the per-row want computation, two word-ops per
       // parent examined, and the boundary rows' masks + remote ORs.
-      lvl_bitops[level].fetch_add(
+      lt.bit_ops =
           pulling ? (static_cast<std::uint64_t>(nlocal) * 3 + level_rows +
-                     pull_examined * 2 +
-                     (level_edges - pull_examined) * 3) *
+                     pull_examined * 2 + (level_edges - pull_examined) * 3) *
                         W
                   : (static_cast<std::uint64_t>(nlocal) * 2 + level_rows +
                      level_edges * 3) *
-                        W,
-          std::memory_order_relaxed);
+                        W;
       mc.charge_compute(level_edges, /*vertices=*/0);
-
-      if (tracing) {
-        // Scan span: occupancy pre-scan + edge scan + compute charge.
-        // Sim duration is exactly this level's charged compute time.
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepScan;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = scan_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - scan_sim_t0;
-        ev.wall_dur_ns = static_cast<std::uint64_t>(phase_wall.nanos());
-        ev.a = static_cast<double>(level_edges);
-        ev.b = static_cast<double>(level_frontier);
-        obs::trace(ev);
-      }
+      scan.end(static_cast<double>(level_edges),
+               static_cast<double>(level_frontier));
 
       // --- Ship combined remote discoveries, grouped by owner.
       std::sort(touched.begin(), touched.end());
@@ -906,18 +749,18 @@ MsBfsBatchResult run_distributed_msbfs_core(
 
       mc.barrier();  // ---- exchange boundary discoveries ----
 
-      const double commit_sim_t0 = tracing ? mc.clock().seconds() : 0.0;
-      phase_wall.reset();
+      // Commit span: staged recv + dedup + visited fold + occupancy
+      // publish. No sim cost is charged here, so the sim duration is
+      // usually 0 — the wall duration carries the host-side cost.
+      const PhaseSpan commit(mc, obs::TraceEventPhase::kSuperstepCommit,
+                             level);
       std::uint64_t staged_envelopes = 0;
 
       WordRow incoming_bits;
       for (Envelope& env : mc.recv_staged()) {
         CGRAPH_CHECK(env.tag == kRemoteDiscoverTag);
         ++staged_envelopes;
-        if (!dedup.accept(env.from, env.seq)) {
-          mc.cluster().fabric().record_dedup_suppressed(mc.id());
-          continue;
-        }
+        if (!lm.accept(env)) continue;
         PacketReader pr(env.payload);
         const auto count = pr.read<std::uint64_t>();
         for (std::uint64_t j = 0; j < count; ++j) {
@@ -947,70 +790,18 @@ MsBfsBatchResult run_distributed_msbfs_core(
             occ_next += chunk_occ;
           });
       occ = occ_next;
-      for (std::size_t w = 0; w < W; ++w) {
-        if (nonempty[w] != 0) {
-          nonempty_planes[static_cast<std::size_t>(level) * W + w]
-              .fetch_or(nonempty[w], std::memory_order_acq_rel);
-        }
-      }
-      lvl_ptasks[level].fetch_add(
-          occ_stats.tasks + scan_stats.tasks + pull_stats.tasks +
-              commit_stats.tasks,
-          std::memory_order_relaxed);
-      lvl_stealwait_ns[level].fetch_add(
-          static_cast<std::uint64_t>(
-              (occ_stats.join_wait_seconds + scan_stats.join_wait_seconds +
-               pull_stats.join_wait_seconds +
-               commit_stats.join_wait_seconds) *
-              1e9),
-          std::memory_order_relaxed);
+      lm.publish_nonempty(level, nonempty.data());
+      lt.parallel_tasks = occ_stats.tasks + scan_stats.tasks +
+                          pull_stats.tasks + commit_stats.tasks;
+      lt.steal_wait_seconds =
+          occ_stats.join_wait_seconds + scan_stats.join_wait_seconds +
+          pull_stats.join_wait_seconds + commit_stats.join_wait_seconds;
+      lm.record_level(level, lt);
       bf.advance(nonempty.data());  // O(words): reuse the commit-phase mask
-
-      if (tracing) {
-        // Commit span: staged recv + dedup + visited fold + occupancy
-        // publish. No sim cost is charged here, so the sim duration is
-        // usually 0 — the wall duration carries the host-side cost.
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kSuperstepCommit;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = static_cast<std::int32_t>(mc.id());
-        ev.level = static_cast<std::int32_t>(level);
-        ev.sim_seconds = commit_sim_t0;
-        ev.sim_dur_seconds = mc.clock().seconds() - commit_sim_t0;
-        ev.wall_dur_ns = static_cast<std::uint64_t>(phase_wall.nanos());
-        ev.a = static_cast<double>(staged_envelopes);
-        obs::trace(ev);
-      }
+      commit.end(static_cast<double>(staged_envelopes));
       mc.barrier();  // ---- level close: occupancy now globally visible ----
 
-      // --- Globally consistent completion decisions.
-      WordRow global_nonempty;
-      for (std::size_t w = 0; w < W; ++w) {
-        global_nonempty[w] =
-            nonempty_planes[static_cast<std::size_t>(level) * W + w].load(
-                std::memory_order_acquire);
-      }
-      for (std::size_t q = 0; q < Q; ++q) {
-        if (done[q]) continue;
-        const bool empty_next =
-            ((global_nonempty[q / kWordBits] >> (q % kWordBits)) & 1u) == 0;
-        const bool k_exhausted =
-            static_cast<Depth>(level + 1) >= batch.ks[q];
-        if (empty_next || k_exhausted) {
-          done[q] = true;
-          ++done_count;
-          if (mc.id() == 0) {
-            result.levels[q] = static_cast<Depth>(level + 1);
-            result.completion_wall_seconds[q] = wall.seconds();
-            result.completion_sim_seconds[q] = mc.clock().seconds();
-          }
-        }
-      }
-      if (mc.id() == 0) {
-        result.total_levels = static_cast<Depth>(level + 1);
-      }
-      CGRAPH_CHECK_MSG(static_cast<std::size_t>(level) + 1 < kMaxLevels,
-                       "traversal exceeded level cap");
+      lm.close_level(level);
     }
 
     // --- Per-query visited counts (seeds excluded at the end).
@@ -1024,9 +815,7 @@ MsBfsBatchResult run_distributed_msbfs_core(
         }
       }
       for (std::size_t q = 0; q < Q; ++q) {
-        if (counts[q] != 0) {
-          visited_accum[q].fetch_add(counts[q], std::memory_order_relaxed);
-        }
+        if (counts[q] != 0) run.add_visited(q, counts[q]);
       }
     });
     if (visited_out != nullptr) {
@@ -1039,47 +828,12 @@ MsBfsBatchResult run_distributed_msbfs_core(
         for (std::size_t w = 0; w < W; ++w) dst[w] = src[w];
       }
     }
-    edges_total.fetch_add(my_edges, std::memory_order_relaxed);
-  }, hooks);
+    lm.finish(bf.memory_bytes());
+  });
 
-  for (std::size_t q = 0; q < Q; ++q) {
-    const std::uint64_t v = visited_accum[q].load(std::memory_order_relaxed);
-    const std::uint64_t seeds = batch.seeds[q].size();
-    result.visited[q] = v > seeds ? v - seeds : 0;
-  }
-  result.wall_seconds = wall.seconds();
-  result.sim_seconds = cluster.sim_seconds();
-  result.edges_scanned = edges_total.load(std::memory_order_relaxed);
-  result.frontier_bytes =
-      frontier_bytes_total.load(std::memory_order_relaxed);
-
-  // Assemble the per-level trace; each level closed with two barriers
-  // (exchange + level close), so its barrier wait is the sum of the
-  // matching pair of superstep telemetry records.
-  const auto& steps = cluster.telemetry().supersteps;
-  result.level_trace.reserve(result.total_levels);
-  for (std::size_t l = 0; l < result.total_levels; ++l) {
-    obs::LevelTrace lt;
-    lt.level = static_cast<std::uint32_t>(l);
-    lt.frontier_vertices = lvl_frontier[l].load(std::memory_order_relaxed);
-    lt.edges_scanned = lvl_edges[l].load(std::memory_order_relaxed);
-    lt.bit_ops = lvl_bitops[l].load(std::memory_order_relaxed);
-    lt.parallel_tasks = lvl_ptasks[l].load(std::memory_order_relaxed);
-    lt.steal_wait_seconds =
-        static_cast<double>(
-            lvl_stealwait_ns[l].load(std::memory_order_relaxed)) *
-        1e-9;
-    lt.push_machines = static_cast<std::uint32_t>(
-        lvl_push[l].load(std::memory_order_relaxed));
-    lt.pull_machines = static_cast<std::uint32_t>(
-        lvl_pull[l].load(std::memory_order_relaxed));
-    lt.scout_edges = lvl_scout[l].load(std::memory_order_relaxed);
-    for (std::size_t s = 2 * l; s < 2 * l + 2 && s < steps.size(); ++s) {
-      lt.barrier_wait_sim_seconds += steps[s].barrier_wait_sim_seconds;
-    }
-    result.level_trace.push_back(lt);
-  }
-  return result;
+  std::vector<std::uint64_t> seeds(Q);
+  for (std::size_t q = 0; q < Q; ++q) seeds[q] = batch.seeds[q].size();
+  return run.finish(seeds);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "engine/superstep.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/shard.hpp"
@@ -38,26 +39,6 @@
 #include "util/thread_pool.hpp"
 
 namespace cgraph {
-
-struct MsBfsBatchResult {
-  /// Per query (batch order): vertices visited, levels run, and the time
-  /// from batch start until that query's frontier went empty.
-  std::vector<std::uint64_t> visited;
-  std::vector<Depth> levels;
-  std::vector<double> completion_wall_seconds;
-  std::vector<double> completion_sim_seconds;  // distributed engine only
-
-  Depth total_levels = 0;
-  double wall_seconds = 0;
-  double sim_seconds = 0;
-  std::uint64_t edges_scanned = 0;
-  std::uint64_t frontier_bytes = 0;  // peak bitmap memory
-
-  /// Per-level cost breakdown (frontier size, edges, bitmap word ops,
-  /// barrier waits), one entry per traversal level. Empty for engines
-  /// without level structure (async).
-  std::vector<obs::LevelTrace> level_trace;
-};
 
 /// Single-machine bit-parallel batch over the global CSR. Batch size must
 /// not exceed QueryBitRows::kMaxBatchWords * 64 queries.

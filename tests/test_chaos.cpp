@@ -93,6 +93,23 @@ TEST_P(ChaosSweep, EnginesMatchReferenceUnderFaults) {
   const auto async = run_async_khop(cluster, shards, part, queries);
   EXPECT_EQ(async.visited, expected) << "async khop under faults";
 
+  // Found paths: exact visited counts, and the parent lists stay
+  // shortest-path trees (one parent per visited vertex, each a real edge
+  // one BFS level nearer the source) however packets were delayed,
+  // duplicated or reordered.
+  const auto paths = run_distributed_khop_paths(cluster, shards, part,
+                                                queries);
+  EXPECT_EQ(paths.base.visited, expected) << "paths under faults";
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto depth = bfs_levels(g, queries[q].source, queries[q].k);
+    ASSERT_EQ(paths.parents[q].size(), paths.base.visited[q]);
+    for (const auto& [v, p] : paths.parents[q]) {
+      ASSERT_NE(depth[p], kUnvisitedDepth) << "q=" << q << " v=" << v;
+      ASSERT_EQ(depth[v], depth[p] + 1) << "q=" << q << " v=" << v;
+      ASSERT_TRUE(g.out_csr().has_edge(p, v)) << p << "->" << v;
+    }
+  }
+
   const auto program = run_khop_program(cluster, shards, part, queries);
   EXPECT_EQ(program, expected) << "partition-program khop under faults";
 
@@ -171,15 +188,26 @@ TEST(Chaos, DuplicateStormIsSuppressed) {
   EXPECT_EQ(run_async_khop(cluster, shards, part, queries).visited,
             expected);
 
-  std::uint64_t duplicated = 0;
-  std::uint64_t suppressed = 0;
-  for (PartitionId i = 0; i < machines; ++i) {
-    const TrafficCounters& t = cluster.fabric().sent_counters(i);
-    duplicated += t.duplicated_packets.load(std::memory_order_relaxed);
-    suppressed += t.dedup_suppressed_packets.load(std::memory_order_relaxed);
-  }
-  EXPECT_GT(duplicated, 0u);
-  EXPECT_GT(suppressed, 0u);
+  // Every engine run resets the fabric counters, so each check below sees
+  // only the run just before it.
+  auto expect_suppressed = [&](const char* engine) {
+    std::uint64_t duplicated = 0;
+    std::uint64_t suppressed = 0;
+    for (PartitionId i = 0; i < machines; ++i) {
+      const TrafficCounters& t = cluster.fabric().sent_counters(i);
+      duplicated += t.duplicated_packets.load(std::memory_order_relaxed);
+      suppressed +=
+          t.dedup_suppressed_packets.load(std::memory_order_relaxed);
+    }
+    EXPECT_GT(duplicated, 0u) << engine;
+    EXPECT_GT(suppressed, 0u) << engine;
+  };
+  expect_suppressed("async");
+
+  EXPECT_EQ(
+      run_distributed_khop_paths(cluster, shards, part, queries).base.visited,
+      expected);
+  expect_suppressed("paths");
 }
 
 // Delay-only plan: async packets sit in the receiver's limbo queue for a

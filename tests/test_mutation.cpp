@@ -20,9 +20,11 @@
 #include "graph/shard.hpp"
 #include "index/reach_index.hpp"
 #include "net/fault.hpp"
+#include "query/async_khop.hpp"
 #include "query/bfs.hpp"
 #include "query/distributed_khop.hpp"
 #include "query/msbfs.hpp"
+#include "query/paths.hpp"
 #include "util/rng.hpp"
 
 namespace cgraph {
@@ -375,6 +377,123 @@ TEST_P(MutationDifferential, CrashAtEverySuperstepReplaysExactly) {
         EXPECT_DOUBLE_EQ(r.sim_seconds, clean.sim_seconds)
             << "replay must reproduce the fault-free schedule";
         EXPECT_EQ(r.visited, clean.visited);
+      }
+    }
+  }
+}
+
+/// Found paths on a mutated graph must be shortest paths of the frozen
+/// rebuild: one parent per visited vertex, every parent edge a frozen
+/// edge, and every parent exactly one hop nearer the source (by induction,
+/// each reconstructed path's length equals the vertex's BFS depth).
+void expect_frozen_shortest_paths(const Graph& frozen,
+                                  std::span<const KHopQuery> queries,
+                                  const KhopPathsResult& r,
+                                  const std::string& what) {
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const VertexId source = queries[q].source;
+    const auto depth = bfs_levels(frozen, source, queries[q].k);
+    ASSERT_EQ(r.parents[q].size(), r.base.visited[q]) << what << " q=" << q;
+    for (const auto& [v, p] : r.parents[q]) {
+      ASSERT_NE(depth[v], kUnvisitedDepth) << what << " q=" << q;
+      ASSERT_NE(depth[p], kUnvisitedDepth) << what << " q=" << q;
+      ASSERT_EQ(depth[v], depth[p] + 1) << what << " q=" << q << " v=" << v;
+      ASSERT_TRUE(frozen.out_csr().has_edge(p, v))
+          << what << ": parent edge " << p << "->" << v
+          << " is not in the frozen rebuild";
+    }
+    if (!r.parents[q].empty()) {
+      const VertexId v = r.parents[q].back().first;
+      EXPECT_EQ(reconstruct_path(r.parents[q], source, v).size() - 1,
+                depth[v])
+          << what << " q=" << q;
+    }
+  }
+}
+
+// The async and found-paths engines read the merged base+delta view at
+// the snapshot pinned on entry: visited counts match the frozen rebuild
+// and every found path is one of its shortest paths — on clean links,
+// under link chaos, and through crash recovery (paths at every superstep,
+// async at its early poll ticks), at 1 and 4 threads.
+TEST_P(MutationDifferential, AsyncAndPathsReadTheMergedView) {
+  const std::uint64_t seed = GetParam();
+  const auto machines = static_cast<PartitionId>(2 + seed % 3);
+  for (const double delete_fraction : kDeleteMixes) {
+    Bed bed = make_bed(110, 650, seed * 103 + 7, machines);
+    const MutationTrace trace = make_trace(bed, seed * 43 + 5,
+                                           delete_fraction);
+    apply_whole_trace(bed, trace);
+    const auto queries = make_queries(bed.g, 24);
+    const Graph frozen = frozen_at(bed, trace, trace.epochs.size());
+    std::vector<std::uint64_t> want;
+    for (const KHopQuery& q : queries) {
+      want.push_back(khop_reach_count(frozen, q.source, q.k));
+    }
+    const std::string tag = "seed=" + std::to_string(seed) +
+                            " del=" + std::to_string(delete_fraction);
+
+    Cluster probe(machines);
+    const auto clean = run_distributed_khop_paths(probe, bed.shards,
+                                                  bed.part, queries);
+    EXPECT_EQ(clean.base.visited, want) << tag << " paths probe";
+    expect_frozen_shortest_paths(frozen, queries, clean, tag + " probe");
+    const std::uint64_t steps = probe.telemetry().supersteps.size();
+    ASSERT_GT(steps, 0u);
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string where = tag + " threads=" + std::to_string(threads);
+      auto make_cluster = [&](bool chaos) {
+        auto c = std::make_unique<Cluster>(machines);
+        c->set_compute_threads(threads);
+        FaultPlan plan(seed);
+        if (chaos) add_link_mix(plan, seed);
+        c->fabric().install_fault_plan(
+            std::make_shared<FaultPlan>(std::move(plan)));
+        return c;
+      };
+      for (const bool chaos : {false, true}) {
+        const std::string what = where + (chaos ? " chaos" : " clean");
+        auto c = make_cluster(chaos);
+        EXPECT_EQ(run_async_khop(*c, bed.shards, bed.part, queries).visited,
+                  want)
+            << what << " async";
+        const auto paths =
+            run_distributed_khop_paths(*c, bed.shards, bed.part, queries);
+        EXPECT_EQ(paths.base.visited, want) << what << " paths";
+        expect_frozen_shortest_paths(frozen, queries, paths, what);
+      }
+      for (std::uint64_t s = 1; s <= steps; ++s) {
+        const auto victim = static_cast<PartitionId>((s + seed) % machines);
+        const std::string what = where + " paths crash " +
+                                 std::to_string(victim) + "@" +
+                                 std::to_string(s);
+        Cluster c(machines);
+        c.set_compute_threads(threads);
+        FaultPlan plan(seed);
+        plan.add_crash(victim, s);
+        c.fabric().install_fault_plan(
+            std::make_shared<FaultPlan>(std::move(plan)));
+        c.set_recovery(RecoveryOptions{});
+        const auto paths =
+            run_distributed_khop_paths(c, bed.shards, bed.part, queries);
+        EXPECT_EQ(c.recovery_stats().crashes, 1u) << what;
+        EXPECT_EQ(paths.base.visited, want) << what;
+        expect_frozen_shortest_paths(frozen, queries, paths, what);
+      }
+      for (std::uint64_t tick = 1; tick <= 3; ++tick) {
+        const auto victim =
+            static_cast<PartitionId>((tick + seed) % machines);
+        Cluster c(machines);
+        c.set_compute_threads(threads);
+        FaultPlan plan(seed);
+        plan.add_crash(victim, tick);
+        c.fabric().install_fault_plan(
+            std::make_shared<FaultPlan>(std::move(plan)));
+        c.set_recovery(RecoveryOptions{});
+        EXPECT_EQ(run_async_khop(c, bed.shards, bed.part, queries).visited,
+                  want)
+            << where << " async crash " << victim << "@tick" << tick;
       }
     }
   }

@@ -2,10 +2,13 @@
 // reconstruction, and the result-footprint accounting behind Fig. 12.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <unordered_set>
 
 #include "gen/rmat.hpp"
 #include "graph/shard.hpp"
+#include "net/fault.hpp"
 #include "query/bfs.hpp"
 #include "query/paths.hpp"
 
@@ -134,6 +137,53 @@ TEST(Paths, CrossPartitionParentRecorded) {
                                             std::span(&q, 1));
   const auto path = reconstruct_path(r.parents[0], 0, 5);
   EXPECT_EQ(path, (std::vector<VertexId>{0, 1, 2, 3, 4, 5}));
+}
+
+// Found paths run on the shared superstep runtime, so they inherit its
+// chaos and recovery contracts: under a lossy, duplicating, reordering
+// fabric and a machine crash at every superstep, at 1 and 4 compute
+// threads, the recovered parent lists still reconstruct a shortest path to
+// every visited vertex.
+TEST(Paths, ParentsSurviveCrashesUnderLinkFaults) {
+  Deployment d(rmat(8, 5, 37), 3);
+  std::vector<KHopQuery> queries;
+  for (QueryId i = 0; i < 6; ++i) {
+    queries.push_back({i, static_cast<VertexId>(i * 41 + 3), 4});
+  }
+  const auto clean =
+      run_distributed_khop_paths(d.cluster, d.shards, d.partition, queries);
+  const auto steps = d.cluster.telemetry().supersteps.size();
+  ASSERT_GT(steps, 2u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (std::uint64_t s = 1; s <= steps; ++s) {
+      SCOPED_TRACE("crash@" + std::to_string(s) + " threads=" +
+                   std::to_string(threads));
+      Cluster cluster(3);
+      cluster.set_compute_threads(threads);
+      auto plan = std::make_shared<FaultPlan>(s);
+      LinkFaultSpec mix;
+      mix.drop = 0.1;
+      mix.duplicate = 0.1;
+      mix.reorder = 0.1;
+      plan->set_default_link(mix);
+      plan->add_crash(static_cast<PartitionId>(s % 3), s);
+      cluster.fabric().install_fault_plan(plan);
+      cluster.set_recovery(RecoveryOptions{});
+      const auto r =
+          run_distributed_khop_paths(cluster, d.shards, d.partition, queries);
+      EXPECT_EQ(cluster.recovery_stats().crashes, 1u);
+      ASSERT_EQ(r.base.visited, clean.base.visited);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const VertexId source = queries[q].source;
+        const auto depth = bfs_levels(d.graph, source, queries[q].k);
+        ASSERT_EQ(r.parents[q].size(), r.base.visited[q]);
+        for (const auto& [v, p] : r.parents[q]) {
+          const auto path = reconstruct_path(r.parents[q], source, v);
+          ASSERT_EQ(path.size() - 1, depth[v]) << "q=" << q << " v=" << v;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -141,6 +141,22 @@ void staged_crash_sweep(const TestBed& bed, std::uint64_t steps,
   }
 }
 
+/// Found paths must survive a restore: one parent per visited vertex,
+/// every parent edge a graph edge one BFS level nearer the source, so each
+/// reconstructed path is a shortest path.
+void expect_shortest_path_trees(const TestBed& bed, const KhopPathsResult& r) {
+  for (std::size_t q = 0; q < bed.queries.size(); ++q) {
+    const auto depth =
+        bfs_levels(bed.g, bed.queries[q].source, bed.queries[q].k);
+    ASSERT_EQ(r.parents[q].size(), r.base.visited[q]) << "q=" << q;
+    for (const auto& [v, p] : r.parents[q]) {
+      ASSERT_NE(depth[p], kUnvisitedDepth) << "q=" << q << " v=" << v;
+      ASSERT_EQ(depth[v], depth[p] + 1) << "q=" << q << " v=" << v;
+      ASSERT_TRUE(bed.g.out_csr().has_edge(p, v)) << p << "->" << v;
+    }
+  }
+}
+
 class RecoverySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Every staged engine (MS-BFS, queue-based sync k-hop, the
@@ -167,6 +183,13 @@ TEST_P(RecoverySweep, StagedEnginesExactAfterCrashAtEverySuperstep) {
        [&](Cluster& c) {
          return run_distributed_khop(c, bed.shards, bed.part, bed.queries)
              .visited;
+       }},
+      {"paths",
+       [&](Cluster& c) {
+         const auto r =
+             run_distributed_khop_paths(c, bed.shards, bed.part, bed.queries);
+         expect_shortest_path_trees(bed, r);
+         return r.base.visited;
        }},
       {"khop-program",
        [&](Cluster& c) {
@@ -201,6 +224,36 @@ TEST_P(RecoverySweep, StagedEnginesExactAfterCrashAtEverySuperstep) {
             engine.name);
       }
     }
+  }
+}
+
+// Found paths resume from the latest level cut, not from scratch: a crash
+// after the first level restores a checkpoint that carries the parent
+// lists discovered so far, and the recovered lists are still complete
+// shortest-path trees.
+TEST_P(RecoverySweep, PathsResumeFromLevelCut) {
+  const std::uint64_t seed = GetParam();
+  const TestBed bed = make_bed(seed);
+  Cluster probe(bed.machines);
+  const auto clean =
+      run_distributed_khop_paths(probe, bed.shards, bed.part, bed.queries);
+  const auto steps =
+      static_cast<std::uint64_t>(probe.telemetry().supersteps.size());
+  for (std::uint64_t s = 3; s <= steps; ++s) {
+    const auto victim = static_cast<PartitionId>((s + seed) % bed.machines);
+    SCOPED_TRACE("paths crash " + std::to_string(victim) + "@" +
+                 std::to_string(s));
+    auto cluster = make_crashing_cluster(bed, seed, /*link_faults=*/false,
+                                         /*threads=*/1, victim, s);
+    const auto r = run_distributed_khop_paths(*cluster, bed.shards, bed.part,
+                                              bed.queries);
+    const RecoveryStats& rs = cluster->recovery_stats();
+    EXPECT_EQ(rs.crashes, 1u);
+    EXPECT_GT(rs.checkpoints_taken, 0u)
+        << "a crash after level 0 must find a level cut to resume from";
+    EXPECT_EQ(r.base.visited, clean.base.visited);
+    EXPECT_EQ(r.base.levels, clean.base.levels);
+    expect_shortest_path_trees(bed, r);
   }
 }
 

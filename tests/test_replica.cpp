@@ -35,11 +35,11 @@ struct World {
   std::vector<SubgraphShard> shards;
 
   explicit World(PartitionId machines, unsigned scale = 6,
-                 std::uint64_t seed = 91)
+                 std::uint64_t seed = 91, double edge_factor = 6)
       : graph([&] {
           RmatParams p;
           p.scale = scale;
-          p.edge_factor = 6;
+          p.edge_factor = edge_factor;
           p.seed = seed;
           return Graph::build(generate_rmat(p), VertexId{1} << scale);
         }()),
@@ -333,6 +333,63 @@ TEST(ReplicaFailover, AcceptanceSweepSeedsThreadsChaos) {
         failovers += run_killed_service(w, machines, arrivals, chaos,
                                         threads, /*kill_replica=*/seed % 2,
                                         /*kill_step=*/1 + seed % 6, seed);
+      }
+    }
+  }
+  EXPECT_GT(failovers, 0u);
+}
+
+// The queue k-hop engine (use_bit_parallel = false) under the same kill
+// sweep. A survivor adopting a cut must report the levels machine 0
+// recorded for queries that finished before the cut, so every record's
+// `levels` (not just `visited`) must match an unkilled run's.
+TEST(ReplicaFailover, QueueEngineAdoptionKeepsCompletionLevels) {
+  const PartitionId machines = 3;
+  World w(machines, /*scale=*/6, /*seed=*/91, /*edge_factor=*/2);
+  PoissonArrivalParams ap;
+  ap.rate_qps = 4000;
+  ap.count = 24;
+  ap.k = 8;
+  ap.seed = 11;
+  const auto arrivals = make_poisson_arrivals(w.graph, ap);
+
+  auto serve = [&](std::size_t kill_replica, std::uint64_t kill_step) {
+    ReplicaSet rs(machines, 2, /*chaos=*/false, /*seed=*/7);
+    if (kill_step > 0) {
+      HaltSpec halt;
+      halt.at_superstep = kill_step;
+      rs.replicas[kill_replica]->arm_halt(halt);
+    }
+    ServiceOptions opts;
+    opts.scheduler.batch_width = 8;
+    opts.scheduler.threads = 1;
+    opts.scheduler.use_bit_parallel = false;
+    opts.queue_cap = 0;
+    opts.linger_seconds = 5e-4;
+    ReplicaRouter router(rs.replicas, w.shards, w.partition, opts.scheduler,
+                         ReplicaRouterOptions{});
+    opts.router = &router;
+    auto run = run_query_service(*rs.replicas[0], w.shards, w.partition,
+                                 arrivals, opts);
+    return std::make_pair(std::move(run), router.failovers());
+  };
+
+  const auto [clean, clean_failovers] = serve(0, 0);
+  ASSERT_EQ(clean_failovers, 0u);
+  std::uint64_t failovers = 0;
+  for (const std::size_t replica : {std::size_t{0}, std::size_t{1}}) {
+    for (std::uint64_t step = 1; step <= 12; ++step) {
+      SCOPED_TRACE("kill=" + std::to_string(replica) + "@" +
+                   std::to_string(step));
+      const auto [run, run_failovers] = serve(replica, step);
+      failovers += run_failovers;
+      ASSERT_EQ(run.stats.completed, arrivals.size());
+      for (const TimedQuery& tq : arrivals) {
+        const ServiceQueryRecord& got = run.queries[tq.query.id];
+        const ServiceQueryRecord& want = clean.queries[tq.query.id];
+        EXPECT_EQ(got.visited, want.visited) << "query " << tq.query.id;
+        EXPECT_EQ(static_cast<int>(got.levels), static_cast<int>(want.levels))
+            << "query " << tq.query.id;
       }
     }
   }
