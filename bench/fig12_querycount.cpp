@@ -15,6 +15,7 @@
 // the query-count knee shows up as a latency knee versus arrival rate.
 // Tunables: --queries N, --rates a,b,c (qps), --queue-cap N,
 // --deadline S, --linger S.
+#include <cinttypes>
 #include <memory>
 
 #include "bench/common.hpp"
@@ -44,7 +45,7 @@ int run_open_loop(const Options& opts, const ShardedGraph& sg,
   if (rates.empty()) rates = {100, 200, 400, 800, 1600};
 
   std::printf("\nopen loop: %zu Poisson arrivals per rate, "
-              "queue-cap %lld, deadline %.3fs, linger %.3fs\n",
+              "queue-cap %" PRId64 ", deadline %.3fs, linger %.3fs\n",
               count, opts.get_int("queue-cap", 1024),
               opts.get_double("deadline", 0.0),
               opts.get_double("linger", 0.010));

@@ -6,6 +6,8 @@
 # schedule mixes 64-bit keys with shifts, and the ingestion hardening
 # rejects inputs whose arithmetic would otherwise overflow — UBSan proves
 # the "rejected loudly, not wrapped silently" claim.
+# test_baseline adds the TitanLike adjacency-row codec, whose zero-degree
+# rows are zero-length copies.
 #
 # Usage: ci/ubsan.sh [build-dir]   (default: build-ubsan)
 set -eu
@@ -15,6 +17,6 @@ SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=undefined
 cmake --build "$BUILD_DIR" --target test_io test_net test_cluster \
-  test_recovery test_chaos -j "$(nproc)"
+  test_recovery test_chaos test_baseline -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(test_io|test_net|test_cluster|test_recovery|test_chaos)$'
+  -R '^(test_io|test_net|test_cluster|test_recovery|test_chaos|test_baseline)$'

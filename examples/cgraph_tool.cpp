@@ -413,7 +413,7 @@ int cmd_query(const Options& opts) {
 /// path (all arrivals at t=0) with N replica clusters behind a
 /// health-checked router, so --replica-kill can exercise failover from
 /// the command line.
-int cmd_batch_replicated(const Options& opts, const Graph& g,
+int cmd_batch_replicated(const Options& opts,
                          const RangePartition& part,
                          const std::vector<SubgraphShard>& shards,
                          const std::vector<KHopQuery>& queries,
@@ -538,7 +538,7 @@ int cmd_batch(const Options& opts) {
       std::fprintf(stderr, "--replica-kill needs --replicas >= 2\n");
       return 2;
     }
-    return cmd_batch_replicated(opts, g, part, shards, queries, sched,
+    return cmd_batch_replicated(opts, part, shards, queries, sched,
                                 num_replicas);
   }
 

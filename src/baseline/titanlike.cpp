@@ -19,7 +19,11 @@ std::vector<std::uint8_t> serialize_row(std::span<const VertexId> nbrs) {
                                  nbrs.size_bytes());
   const auto n = static_cast<std::uint32_t>(nbrs.size());
   std::memcpy(blob.data(), &n, sizeof n);
-  std::memcpy(blob.data() + sizeof n, nbrs.data(), nbrs.size_bytes());
+  // A zero-degree row may come with a null data(); memcpy forbids null
+  // pointers even for zero-length copies.
+  if (!nbrs.empty()) {
+    std::memcpy(blob.data() + sizeof n, nbrs.data(), nbrs.size_bytes());
+  }
   return blob;
 }
 
@@ -29,7 +33,9 @@ std::vector<VertexId> deserialize_row(const std::vector<std::uint8_t>& blob) {
   std::memcpy(&n, blob.data(), sizeof n);
   CGRAPH_CHECK(blob.size() == sizeof n + n * sizeof(VertexId));
   std::vector<VertexId> nbrs(n);
-  std::memcpy(nbrs.data(), blob.data() + sizeof n, n * sizeof(VertexId));
+  if (n != 0) {
+    std::memcpy(nbrs.data(), blob.data() + sizeof n, n * sizeof(VertexId));
+  }
   return nbrs;
 }
 

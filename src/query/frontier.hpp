@@ -13,7 +13,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -92,21 +91,18 @@ class BatchFrontier {
   }
 
   /// Deferred-commit discover for parallel edge-set scans: the next plane
-  /// takes `bits & ~visited` via a relaxed atomic OR, while the visited
-  /// plane is treated as read-only for the whole level and folded in once
-  /// by commit_rows(). OR is commutative and idempotent, so the result is
-  /// identical for any thread count and interleaving — this is what keeps
-  /// threads=1 and threads=N bit-exact.
+  /// takes `bits & ~visited` via a test-first relaxed atomic OR
+  /// (atomic_or_word: no locked write when every fresh bit is already
+  /// set), while the visited plane is treated as read-only for the whole
+  /// level and folded in once by commit_rows(). OR is commutative and
+  /// idempotent, so the result is identical for any thread count and
+  /// interleaving — this is what keeps threads=1 and threads=N bit-exact.
   void discover_atomic(std::size_t v, const Word* query_bits) {
     Word* nx = next_.row(v);
     const Word* vis = visited_.row(v);
     for (std::size_t w = 0; w < frontier_.words_per_row(); ++w) {
       const Word fresh = query_bits[w] & ~vis[w];
-      if (fresh == 0) continue;
-      // Same storage-aliasing trick as Bitmap::atomic_test_and_set: the
-      // word array is only ever touched atomically during the scan phase.
-      auto* a = reinterpret_cast<std::atomic<Word>*>(&nx[w]);
-      a->fetch_or(fresh, std::memory_order_relaxed);
+      if (fresh != 0) atomic_or_word(&nx[w], fresh);
     }
   }
 

@@ -83,15 +83,6 @@ bool row_masked_any(const Word* row, const WordRow& mask, std::size_t words,
   return any != 0;
 }
 
-// Relaxed OR into a plain shared word. Legal for the same reason as
-// Bitmap::atomic_test_and_set: during a parallel scan phase these words are
-// only ever touched through this atomic view, and OR commutes, so the final
-// value is independent of thread interleaving.
-inline void atomic_or_word(Word* word, Word bits) {
-  reinterpret_cast<std::atomic<Word>*>(word)->fetch_or(
-      bits, std::memory_order_relaxed);
-}
-
 /// The per-level direction decision (DESIGN.md §12). Every input is a
 /// deterministic function of the frontier planes and static degrees — the
 /// previous level's commit-pass occupancy, the partition's edge/vertex
@@ -352,13 +343,7 @@ MsBfsBatchResult msbfs_batch_core(const Graph& graph,
     std::mutex visited_mu;
     parallel_ranges(pool, n, [&](std::size_t vb, std::size_t ve) {
       std::vector<std::uint64_t> counts(Q, 0);
-      for (std::size_t v = vb; v < ve; ++v) {
-        const Word* row = bf.visited().row(v);
-        for (std::size_t w = 0; w < W; ++w) {
-          for_each_set_bit(row[w], w * kWordBits,
-                           [&](std::size_t q) { ++counts[q]; });
-        }
-      }
+      count_query_bits(bf.visited(), vb, ve, counts);
       std::lock_guard<std::mutex> lock(visited_mu);
       for (std::size_t q = 0; q < Q; ++q) result.visited[q] += counts[q];
     });
@@ -460,12 +445,22 @@ MsBfsBatchResult run_distributed_msbfs_core(
     FrontierOccupancy occ = bf.frontier_occupancy(degrees);
 
     // Remote accumulator: dense bit rows over the whole global space plus
-    // a touched list, so per-destination rows are OR-combined before they
+    // a touched bitmap, so per-destination rows are OR-combined before they
     // hit the wire (bounded by boundary vertices, not edges).
     std::vector<Word> remote_acc(static_cast<std::size_t>(num_vertices) * W,
                                  0);
-    std::vector<VertexId> touched;
-    Bitmap touched_bm(num_vertices);
+    Bitmap touched(num_vertices);
+    // Remote discovery of global row t: OR the masked frontier bits into
+    // its accumulator row and mark it touched, both test-first, so only a
+    // word that gains a bit takes a locked write. OR is idempotent and
+    // commutative, so every thread count leaves the same words behind.
+    auto push_remote = [&](VertexId t, const WordRow& masked) {
+      Word* acc = remote_acc.data() + static_cast<std::size_t>(t) * W;
+      for (std::size_t w = 0; w < W; ++w) {
+        if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
+      }
+      touched.atomic_set(t);
+    };
 
     for (Depth level = lm.start_level(); lm.running(); ++level) {
       // Top of level = the consistent cut: staged mailboxes are empty and
@@ -514,7 +509,6 @@ MsBfsBatchResult run_distributed_msbfs_core(
       std::atomic<std::uint64_t> edges_acc{0};
       std::atomic<std::uint64_t> rows_acc{0};
       std::atomic<std::uint64_t> pull_examined_acc{0};
-      std::mutex touched_mu;
       ParallelForStats scan_stats;
       ParallelForStats pull_stats;
 
@@ -523,16 +517,14 @@ MsBfsBatchResult run_distributed_msbfs_core(
         // flat block indices (each block is an LLC-sized EdgeSet tile, the
         // natural unit of intra-machine work). Local discoveries OR into
         // the next plane atomically with visited frozen; remote
-        // discoveries OR into the dense accumulator words atomically, with
-        // first-touch claimed via the touched bitmap and chunk-local touch
-        // lists merged (then sorted below) so shipped packets stay
-        // byte-identical to the serial scan.
+        // discoveries OR into the dense accumulator words and the touched
+        // bitmap, which the ship step below walks in id order, so shipped
+        // packets stay byte-identical to the serial scan.
         scan_stats = parallel_ranges(
             pool, grid.num_sets(), [&](std::size_t bb, std::size_t be) {
               WordRow masked;
               std::uint64_t chunk_edges = 0;
               std::uint64_t chunk_rows = 0;
-              std::vector<VertexId> chunk_touched;
               for (std::size_t b = bb; b < be; ++b) {
                 const EdgeSet& es = grid.set_at(b);
                 const VertexRange rr = grid.row_range(grid.row_of_set(b));
@@ -548,25 +540,13 @@ MsBfsBatchResult run_distributed_msbfs_core(
                     if (range.contains(t)) {
                       bf.discover_atomic(t - range.begin, masked.data());
                     } else {
-                      Word* acc = remote_acc.data() +
-                                  static_cast<std::size_t>(t) * W;
-                      for (std::size_t w = 0; w < W; ++w) {
-                        if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
-                      }
-                      if (touched_bm.atomic_test_and_set(t)) {
-                        chunk_touched.push_back(t);
-                      }
+                      push_remote(t, masked);
                     }
                   }
                 }
               }
               edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
               rows_acc.fetch_add(chunk_rows, std::memory_order_relaxed);
-              if (!chunk_touched.empty()) {
-                std::lock_guard<std::mutex> lock(touched_mu);
-                touched.insert(touched.end(), chunk_touched.begin(),
-                               chunk_touched.end());
-              }
             });
       } else {
         // --- Bottom-up local scan over the partition's CSC: each thread
@@ -618,7 +598,6 @@ MsBfsBatchResult run_distributed_msbfs_core(
               WordRow masked;
               std::uint64_t chunk_edges = 0;
               std::uint64_t chunk_rows = 0;
-              std::vector<VertexId> chunk_touched;
               for (std::size_t b = bb; b < be; ++b) {
                 const EdgeSet& es = grid.set_at(b);
                 if (es.dst_range().begin >= range.begin &&
@@ -636,24 +615,12 @@ MsBfsBatchResult run_distributed_msbfs_core(
                   for (VertexId t : nbrs) {
                     if (range.contains(t)) continue;  // pull covered it
                     if (vdel && dout.edge_deleted(v, t, epoch)) continue;
-                    Word* acc = remote_acc.data() +
-                                static_cast<std::size_t>(t) * W;
-                    for (std::size_t w = 0; w < W; ++w) {
-                      if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
-                    }
-                    if (touched_bm.atomic_test_and_set(t)) {
-                      chunk_touched.push_back(t);
-                    }
+                    push_remote(t, masked);
                   }
                 }
               }
               edges_acc.fetch_add(chunk_edges, std::memory_order_relaxed);
               rows_acc.fetch_add(chunk_rows, std::memory_order_relaxed);
-              if (!chunk_touched.empty()) {
-                std::lock_guard<std::mutex> lock(touched_mu);
-                touched.insert(touched.end(), chunk_touched.begin(),
-                               chunk_touched.end());
-              }
             });
       }
       // --- Delta extras: edges inserted after ingestion live in the
@@ -679,14 +646,7 @@ MsBfsBatchResult run_distributed_msbfs_core(
               bf.discover_atomic(t - range.begin, masked.data());
               ++extra_edges;
             } else {
-              Word* acc =
-                  remote_acc.data() + static_cast<std::size_t>(t) * W;
-              for (std::size_t w = 0; w < W; ++w) {
-                if (masked[w] != 0) atomic_or_word(&acc[w], masked[w]);
-              }
-              if (touched_bm.atomic_test_and_set(t)) {
-                touched.push_back(t);
-              }
+              push_remote(t, masked);
               ++extra_edges;
             }
           });
@@ -718,34 +678,32 @@ MsBfsBatchResult run_distributed_msbfs_core(
       scan.end(static_cast<double>(level_edges),
                static_cast<double>(level_frontier));
 
-      // --- Ship combined remote discoveries, grouped by owner.
-      std::sort(touched.begin(), touched.end());
-      std::size_t i = 0;
-      while (i < touched.size()) {
-        const PartitionId owner = partition.owner(touched[i]);
+      // --- Ship combined remote discoveries: one packet per owner with
+      // any touched row, owners ascending. Draining the owner's slice of
+      // the touched bitmap yields its rows in ascending id order, and each
+      // accumulator row and touched bit is zeroed as it is shipped, so
+      // both are clean for the next level.
+      for (PartitionId owner = 0; owner < partition.num_partitions();
+           ++owner) {
+        if (owner == mc.id()) continue;
         const VertexRange orange = partition.range(owner);
+        const std::size_t count =
+            touched.count_range(orange.begin, orange.end);
+        if (count == 0) continue;
         PacketWriter pw;
-        std::uint64_t count = 0;
-        const std::size_t start = i;
-        while (i < touched.size() && orange.contains(touched[i])) ++i;
-        count = i - start;
+        pw.reserve(sizeof(std::uint64_t) +
+                   count * (sizeof(VertexId) + W * sizeof(Word)));
         pw.write<std::uint64_t>(count);
-        for (std::size_t j = start; j < i; ++j) {
-          const VertexId t = touched[j];
-          pw.write<VertexId>(t);
-          const Word* acc =
-              remote_acc.data() + static_cast<std::size_t>(t) * W;
-          for (std::size_t w = 0; w < W; ++w) pw.write<Word>(acc[w]);
-        }
+        touched.drain_range(orange.begin, orange.end, [&](std::size_t t) {
+          pw.write<VertexId>(static_cast<VertexId>(t));
+          Word* acc = remote_acc.data() + t * W;
+          for (std::size_t w = 0; w < W; ++w) {
+            pw.write<Word>(acc[w]);
+            acc[w] = 0;
+          }
+        });
         mc.send(owner, kRemoteDiscoverTag, pw.take());
       }
-      // Clear accumulator slots we used.
-      for (VertexId t : touched) {
-        Word* acc = remote_acc.data() + static_cast<std::size_t>(t) * W;
-        for (std::size_t w = 0; w < W; ++w) acc[w] = 0;
-        touched_bm.clear_bit(t);
-      }
-      touched.clear();
 
       mc.barrier();  // ---- exchange boundary discoveries ----
 
@@ -807,13 +765,7 @@ MsBfsBatchResult run_distributed_msbfs_core(
     // --- Per-query visited counts (seeds excluded at the end).
     parallel_ranges(pool, nlocal, [&](std::size_t vb, std::size_t ve) {
       std::vector<std::uint64_t> counts(Q, 0);
-      for (std::size_t v = vb; v < ve; ++v) {
-        const Word* row = bf.visited().row(v);
-        for (std::size_t w = 0; w < W; ++w) {
-          for_each_set_bit(row[w], w * kWordBits,
-                           [&](std::size_t q) { ++counts[q]; });
-        }
-      }
+      count_query_bits(bf.visited(), vb, ve, counts);
       for (std::size_t q = 0; q < Q; ++q) {
         if (counts[q] != 0) run.add_visited(q, counts[q]);
       }

@@ -3,10 +3,12 @@
 // iteration helpers used to walk set bits cheaply.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -43,6 +45,19 @@ inline void for_each_set_bit(Word word, std::size_t base, Fn&& fn) {
     total += static_cast<std::uint64_t>(std::popcount(words[w]));
   }
   return total;
+}
+
+/// Test-first relaxed OR into a plain shared word: a relaxed load first,
+/// and the locked fetch_or only when some bit of `bits` is still clear.
+/// During a parallel scan phase the word is only ever touched through this
+/// atomic view (the storage-aliasing trick behind
+/// Bitmap::atomic_test_and_set), and OR is commutative and idempotent, so a
+/// stale load merely costs a redundant OR and the final value is
+/// independent of thread interleaving.
+inline void atomic_or_word(Word* word, Word bits) {
+  auto* a = reinterpret_cast<std::atomic<Word>*>(word);
+  if ((a->load(std::memory_order_relaxed) & bits) == bits) return;
+  a->fetch_or(bits, std::memory_order_relaxed);
 }
 
 /// Fixed-size bitmap over a contiguous word array. Single-writer unless the
@@ -88,7 +103,34 @@ class Bitmap {
     return (old & mask) == 0;
   }
 
+  /// Set bit i through atomic_or_word (test-first, relaxed): for parallel
+  /// phases that only need the bit set, not to learn who set it first.
+  void atomic_set(std::size_t i) {
+    CGRAPH_DCHECK(i < nbits_);
+    atomic_or_word(&words_[i / kWordBits], Word{1} << (i % kWordBits));
+  }
+
   void clear_all() { std::fill(words_.begin(), words_.end(), Word{0}); }
+
+  /// Number of set bits in [begin, end).
+  [[nodiscard]] std::size_t count_range(std::size_t begin,
+                                        std::size_t end) const {
+    std::size_t n = 0;
+    for_range_words(begin, end, [&](std::size_t wi, Word mask) {
+      n += static_cast<std::size_t>(std::popcount(words_[wi] & mask));
+    });
+    return n;
+  }
+
+  /// Invoke fn(i) for every set bit i in [begin, end), ascending, and
+  /// clear those bits (bits outside the range are untouched).
+  template <typename Fn>
+  void drain_range(std::size_t begin, std::size_t end, Fn&& fn) {
+    for_range_words(begin, end, [&](std::size_t wi, Word mask) {
+      for_each_set_bit(words_[wi] & mask, wi * kWordBits, fn);
+      words_[wi] &= ~mask;
+    });
+  }
 
   [[nodiscard]] bool any() const {
     for (Word w : words_)
@@ -133,6 +175,24 @@ class Bitmap {
   }
 
  private:
+  /// fn(word index, mask of the word's bits inside [begin, end)) for every
+  /// word the bit range overlaps, ascending.
+  template <typename Fn>
+  void for_range_words(std::size_t begin, std::size_t end, Fn&& fn) const {
+    CGRAPH_DCHECK(end <= nbits_);
+    if (begin >= end) return;
+    const std::size_t first = begin / kWordBits;
+    const std::size_t last = (end - 1) / kWordBits;
+    for (std::size_t wi = first; wi <= last; ++wi) {
+      Word mask = ~Word{0};
+      if (wi == first) mask &= ~Word{0} << (begin % kWordBits);
+      if (wi == last && end % kWordBits != 0) {
+        mask &= (Word{1} << (end % kWordBits)) - 1;
+      }
+      fn(wi, mask);
+    }
+  }
+
   std::size_t nbits_ = 0;
   std::vector<Word> words_;
 };
@@ -235,5 +295,44 @@ class QueryBitRows {
   std::size_t words_per_row_ = 0;
   std::vector<Word> bits_;
 };
+
+/// Per-query population counts over rows [begin, end) of a plane:
+/// counts[q] += the number of rows with query bit q set (counts.size() ==
+/// plane.queries()). Bit-sliced rather than one increment per set bit:
+/// every word column keeps a 16-plane ripple-carry counter (bit b of plane
+/// p is bit p of the running count for query column*64 + b), so a row
+/// costs about two word ops per column however many bits it has set. The
+/// planes are folded into `counts` every 65,535 rows, before a 16-bit
+/// count can wrap.
+inline void count_query_bits(const QueryBitRows& plane, std::size_t begin,
+                             std::size_t end,
+                             std::span<std::uint64_t> counts) {
+  constexpr std::size_t kPlanes = 16;
+  constexpr std::size_t kFlushRows = (std::size_t{1} << kPlanes) - 1;
+  const std::size_t W = plane.words_per_row();
+  CGRAPH_DCHECK(counts.size() == plane.queries());
+  for (std::size_t block = begin; block < end; block += kFlushRows) {
+    const std::size_t block_end = std::min(end, block + kFlushRows);
+    Word planes[QueryBitRows::kMaxBatchWords][kPlanes] = {};
+    for (std::size_t r = block; r < block_end; ++r) {
+      const Word* row = plane.row(r);
+      for (std::size_t w = 0; w < W; ++w) {
+        Word carry = row[w];
+        for (std::size_t p = 0; carry != 0; ++p) {
+          const Word next = planes[w][p] & carry;
+          planes[w][p] ^= carry;
+          carry = next;
+        }
+      }
+    }
+    for (std::size_t w = 0; w < W; ++w) {
+      for (std::size_t p = 0; p < kPlanes; ++p) {
+        for_each_set_bit(planes[w][p], w * kWordBits, [&](std::size_t q) {
+          if (q < counts.size()) counts[q] += std::uint64_t{1} << p;
+        });
+      }
+    }
+  }
+}
 
 }  // namespace cgraph

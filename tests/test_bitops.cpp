@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/bitops.hpp"
+#include "util/rng.hpp"
 
 namespace cgraph {
 namespace {
@@ -208,6 +209,127 @@ TEST(PopcountWords, MatchesPerBitLoop) {
   for (std::size_t c = 0; c <= 8; ++c) {
     EXPECT_EQ(popcount_words(words, c), prefix);
     if (c < 8) prefix += popcount_words(&words[c], 1);
+  }
+}
+
+TEST(AtomicOrWord, SetsMissingBitsAndLeavesSetWordsAlone) {
+  Word w = 0b1010;
+  atomic_or_word(&w, 0b0010);  // already set: no change
+  EXPECT_EQ(w, Word{0b1010});
+  atomic_or_word(&w, 0b0110);  // partly set: the missing bit lands
+  EXPECT_EQ(w, Word{0b1110});
+  atomic_or_word(&w, 0);
+  EXPECT_EQ(w, Word{0b1110});
+}
+
+TEST(AtomicOrWord, ConcurrentOrsUnionEveryBit) {
+  std::vector<Word> words(4, 0);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < 4; ++t) {
+    threads.emplace_back([&words, t] {
+      for (unsigned i = 0; i < 2000; ++i) {
+        atomic_or_word(&words[i % words.size()],
+                       Word{1} << ((i * 7 + t * 13) % kWordBits));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::vector<Word> want(words.size(), 0);
+  for (unsigned t = 0; t < 4; ++t) {
+    for (unsigned i = 0; i < 2000; ++i) {
+      want[i % want.size()] |= Word{1} << ((i * 7 + t * 13) % kWordBits);
+    }
+  }
+  EXPECT_EQ(words, want);
+}
+
+TEST(Bitmap, AtomicSetSetsBit) {
+  Bitmap bm(130);
+  bm.atomic_set(129);
+  bm.atomic_set(129);
+  bm.atomic_set(0);
+  EXPECT_TRUE(bm.test(0));
+  EXPECT_TRUE(bm.test(129));
+  EXPECT_EQ(bm.count(), 2u);
+}
+
+TEST(Bitmap, CountAndDrainRangeRespectBounds) {
+  Bitmap bm(300);
+  const std::vector<std::size_t> set = {0, 1, 63, 64, 65, 127, 128, 200,
+                                        255, 256, 299};
+  for (std::size_t i : set) bm.set(i);
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 0}, {5, 5}, {0, 1}, {1, 64}, {63, 65}, {64, 128},
+      {65, 200}, {128, 257}, {256, 300}, {0, 300}};
+  for (const auto& [b, e] : ranges) {
+    std::vector<std::size_t> want;
+    for (std::size_t i : set) {
+      if (i >= b && i < e) want.push_back(i);
+    }
+    EXPECT_EQ(bm.count_range(b, e), want.size()) << b << ".." << e;
+    Bitmap copy = bm;
+    std::vector<std::size_t> got;
+    copy.drain_range(b, e, [&](std::size_t i) { got.push_back(i); });
+    EXPECT_EQ(got, want) << b << ".." << e;
+    // Drained bits are cleared; bits outside the range survive.
+    for (std::size_t i : set) {
+      EXPECT_EQ(copy.test(i), i < b || i >= e) << i << " in " << b << ".."
+                                               << e;
+    }
+  }
+}
+
+// count_query_bits against the one-increment-per-set-bit reference it
+// replaces: every batch width W = 1..8 words with query counts that are not
+// word multiples, columns that are always / never / half / rarely set (an
+// always-set column drives a 16-plane counter to 65,535, its no-wrap
+// maximum), empty ranges, ranges inside one flush block, and ranges that
+// cross the 65,535-row flush.
+TEST(CountQueryBits, MatchesPerBitReference) {
+  constexpr std::size_t kRows = 66000;
+  Xoshiro256 rng(0xC0C0);
+  for (std::size_t W = 1; W <= QueryBitRows::kMaxBatchWords; ++W) {
+    for (const std::size_t Q : {W * kWordBits - 63, W * kWordBits - 5}) {
+      QueryBitRows plane(kRows, Q);
+      Word always[QueryBitRows::kMaxBatchWords] = {};
+      Word half[QueryBitRows::kMaxBatchWords] = {};
+      Word rare[QueryBitRows::kMaxBatchWords] = {};
+      for (std::size_t q = 0; q < Q; ++q) {
+        const Word bit = Word{1} << (q % kWordBits);
+        switch (q % 4) {
+          case 0: always[q / kWordBits] |= bit; break;
+          case 1: half[q / kWordBits] |= bit; break;
+          case 2: rare[q / kWordBits] |= bit; break;
+          default: break;  // never set
+        }
+      }
+      for (std::size_t r = 0; r < kRows; ++r) {
+        Word* row = plane.row(r);
+        for (std::size_t w = 0; w < W; ++w) {
+          const Word sparse = rng.next() & rng.next() & rng.next() &
+                              rng.next() & rng.next();
+          row[w] = always[w] | (rng.next() & half[w]) | (sparse & rare[w]);
+        }
+      }
+      const std::pair<std::size_t, std::size_t> ranges[] = {
+          {0, 0},          {777, 777},    {kRows, kRows}, {0, 1},
+          {3, 100},        {0, 65535},    {0, 65536},     {100, 65636},
+          {1, kRows},      {0, kRows}};
+      for (const auto& [b, e] : ranges) {
+        std::vector<std::uint64_t> want(Q, 5);
+        for (std::size_t r = b; r < e; ++r) {
+          const Word* row = plane.row(r);
+          for (std::size_t w = 0; w < W; ++w) {
+            for_each_set_bit(row[w], w * kWordBits,
+                             [&](std::size_t q) { ++want[q]; });
+          }
+        }
+        std::vector<std::uint64_t> got(Q, 5);  // adds onto existing counts
+        count_query_bits(plane, b, e, got);
+        ASSERT_EQ(got, want) << "W=" << W << " Q=" << Q << " rows " << b
+                             << ".." << e;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/mutation_trace.hpp"
 #include "gen/random_graphs.hpp"
 #include "graph/shard.hpp"
 #include "net/fault.hpp"
@@ -233,6 +234,88 @@ TEST(HybridDistributed, PerPartitionDecisionsRecorded) {
   for (const auto& lt : r.level_trace) {
     EXPECT_EQ(lt.pull_machines, 3u) << "level " << lt.level;
     EXPECT_EQ(lt.push_machines, 0u) << "level " << lt.level;
+  }
+}
+
+/// Per machine, the staged packets and bytes one run sent.
+struct ShippedTraffic {
+  std::vector<std::uint64_t> packets;
+  std::vector<std::uint64_t> bytes;
+};
+
+ShippedTraffic shipped_traffic(Cluster& cluster) {
+  ShippedTraffic t;
+  for (PartitionId m = 0; m < cluster.num_machines(); ++m) {
+    const TrafficCounters& c = cluster.fabric().sent_counters(m);
+    t.packets.push_back(c.staged_packets.load());
+    t.bytes.push_back(c.staged_bytes.load());
+  }
+  return t;
+}
+
+// Pull levels keep the cross-partition push, so what a batch ships must not
+// depend on the direction or the thread count: per machine, forced push,
+// forced pull and hybrid at 1 and 4 threads send the same staged packets
+// and bytes and end on the same visited plane. The mutated bed carries
+// uncompacted inserts and tombstones, so delta extras ship through the
+// same remote path.
+TEST(HybridDistributed, ShippedTrafficIdenticalAcrossModesAndThreads) {
+  std::vector<std::uint64_t> frozen_bytes;
+  for (const bool mutated : {false, true}) {
+    Bed bed = make_bed(300, 2400, 37, 3);
+    if (mutated) {
+      MutationTraceOptions topt;
+      topt.seed = 5;
+      topt.num_epochs = 2;
+      topt.ops_per_epoch = 60;
+      topt.delete_fraction = 0.25;
+      const MutationTrace trace = generate_mutation_trace(bed.g, topt);
+      for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
+        apply_trace_epoch(std::span(bed.shards), trace, e);
+      }
+      for (const SubgraphShard& shard : bed.shards) {
+        ASSERT_TRUE(shard.has_mutations());
+      }
+    }
+    for (const std::size_t width : {std::size_t{48}, std::size_t{512}}) {
+      const auto queries = make_queries(bed.g, width);
+      bool have_ref = false;
+      ShippedTraffic ref;
+      QueryBitRows ref_plane;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const TraversalDirection mode : kAllModes) {
+          const std::string what =
+              std::string(mutated ? "mutated" : "frozen") + " width=" +
+              std::to_string(width) + " threads=" + std::to_string(threads) +
+              " mode=" + to_string(mode);
+          Cluster cluster(bed.machines);
+          cluster.set_compute_threads(threads);
+          QueryBitRows got;
+          run_distributed_msbfs(cluster, bed.shards, bed.part, queries,
+                                dir(mode), &got);
+          const ShippedTraffic t = shipped_traffic(cluster);
+          if (!have_ref) {
+            have_ref = true;
+            ref = t;
+            ref_plane = got;
+            for (PartitionId m = 0; m < bed.machines; ++m) {
+              ASSERT_GT(t.packets[m], 0u) << what << " machine " << m;
+            }
+            if (width == 512) {
+              if (mutated) {
+                EXPECT_NE(t.bytes, frozen_bytes) << what;
+              } else {
+                frozen_bytes = t.bytes;
+              }
+            }
+            continue;
+          }
+          EXPECT_EQ(t.packets, ref.packets) << what;
+          EXPECT_EQ(t.bytes, ref.bytes) << what;
+          expect_planes_equal(got, ref_plane, what);
+        }
+      }
+    }
   }
 }
 
