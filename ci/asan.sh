@@ -3,7 +3,8 @@
 # targets with -fsanitize=address and runs them under ctest. The fault
 # layer moves packets through retry/dedup/limbo paths that reuse and free
 # payload buffers aggressively; this catches lifetime bugs the regular
-# suite cannot.
+# suite cannot. test_service runs the query front end every scheduler
+# caller goes through.
 #
 # Usage: ci/asan.sh [build-dir]   (default: build-asan)
 set -eu
@@ -12,8 +13,8 @@ BUILD_DIR="${1:-build-asan}"
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCGRAPH_SANITIZE=address
-cmake --build "$BUILD_DIR" --target test_obs test_scheduler test_chaos \
-  test_hybrid test_index test_replica test_mutation baseline_runner \
-  -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target test_obs test_scheduler test_service \
+  test_chaos test_hybrid test_index test_replica test_mutation \
+  baseline_runner -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(test_obs|test_scheduler|test_chaos|test_hybrid|test_index|test_replica|test_mutation|bench_baseline_smoke)$'
+  -R '^(test_obs|test_scheduler|test_service|test_chaos|test_hybrid|test_index|test_replica|test_mutation|bench_baseline_smoke)$'

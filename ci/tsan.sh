@@ -5,26 +5,24 @@
 # Machines are threads, and with pools each machine fans its per-level
 # scans out to four more — the relaxed-atomic OR discovery, deferred
 # visited commits, per-query scatter ownership, fault-injected delivery
-# paths, the crash/rollback/replay machinery (checkpoint saves at
+# paths, and the crash/rollback/replay machinery (checkpoint saves at
 # barriers, the cluster-wide crash flag, restore while every machine
-# unwinds), and the service layer's pipelined admission/executor handoff
-# (test_service runs its batches on a worker thread overlapped with
-# admission) all run under TSan here. The bench label adds the committed-
+# unwinds) all run under TSan here. The service label runs the query
+# front end: it executes batches on the caller thread, but every batch
+# still fans out to the machine threads and their pools, under fault
+# plans and crash recovery. The bench label adds the committed-
 # baseline smoke run, whose enabled arm drives the per-thread tracer rings
 # while four compute threads record concurrently. test_hybrid (labels
 # unit+chaos+recovery) puts the bottom-up scan's single-writer pull rows
 # next to the cross-partition push's atomic ORs under the same pools.
-# test_index (same labels) shares the immutable ReachIndex across the
-# admission thread's bypass probes and the executor's fallback resolution
-# while the service pipeline overlaps them. The replica label runs the
-# replicated-serving suite: router failovers resume the dead replica's
-# checkpoint cut on a survivor while that survivor's own compute pools
-# and the service pipeline are live. The mutation label runs the
-# streaming-mutation differential suite: the merged base+delta scans and
-# the serial extras pass execute under the same four-thread pools that
-# race the relaxed-atomic discovery ORs, and the epoch handshake
-# (ReachIndex::observe_epoch's relaxed CAS) runs against concurrent
-# probes.
+# test_index (same labels) serves point queries through the index bypass
+# probes and resolves the fallbacks from visited planes the machine
+# threads built. The replica label runs the replicated-serving suite:
+# router failovers resume the dead replica's checkpoint cut on a survivor
+# while that survivor's own compute pools are live. The mutation label
+# runs the streaming-mutation differential suite: the merged base+delta
+# scans and the serial extras pass execute under the same four-thread
+# pools that race the relaxed-atomic discovery ORs.
 #
 # Usage: ci/tsan.sh [build-dir]   (default: build-tsan)
 set -eu

@@ -54,16 +54,6 @@ void RunTelemetry::publish(MetricsRegistry& reg) const {
               "Bitmap words processed by concurrent-query traversals")
       .inc(static_cast<double>(bitops));
 
-  LogHistogram& response =
-      reg.histogram("cgraph_query_response_seconds",
-                    "Per-query simulated response time (wait + execute)");
-  LogHistogram& wait = reg.histogram(
-      "cgraph_query_wait_seconds", "Per-query simulated queue wait");
-  for (const QueryTrace& q : queries) {
-    response.observe(q.wait_sim_seconds + q.execute_sim_seconds);
-    wait.observe(q.wait_sim_seconds);
-  }
-
   LogHistogram& exec =
       reg.histogram("cgraph_batch_execute_sim_seconds",
                     "Per-batch simulated makespan");

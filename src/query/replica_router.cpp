@@ -64,12 +64,10 @@ ReplicaRouter::ReplicaRouter(std::vector<Cluster*> replicas,
 }
 
 ReplicaHealth ReplicaRouter::health(std::size_t r) const {
-  std::lock_guard<std::mutex> lk(mu_);
   return stats_[r].health;
 }
 
 std::size_t ReplicaRouter::healthy_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::size_t n = 0;
   for (const ReplicaStats& s : stats_) {
     if (s.health != ReplicaHealth::kDead) ++n;
@@ -78,7 +76,6 @@ std::size_t ReplicaRouter::healthy_count() const {
 }
 
 bool ReplicaRouter::degraded() const {
-  std::lock_guard<std::mutex> lk(mu_);
   for (const ReplicaStats& s : stats_) {
     if (s.health == ReplicaHealth::kDead) return true;
   }
@@ -86,16 +83,14 @@ bool ReplicaRouter::degraded() const {
 }
 
 std::uint64_t ReplicaRouter::failovers() const {
-  std::lock_guard<std::mutex> lk(mu_);
   return failovers_;
 }
 
 std::vector<ReplicaStats> ReplicaRouter::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
   return stats_;
 }
 
-std::size_t ReplicaRouter::first_live_from_locked(std::size_t start) const {
+std::size_t ReplicaRouter::first_live_from(std::size_t start) const {
   const std::size_t n = replicas_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t r = (start + i) % n;
@@ -109,8 +104,7 @@ std::size_t ReplicaRouter::route_batch(std::uint64_t batch_index,
   const PartitionId owner = partition_.owner(first_root);
   const std::size_t preferred = static_cast<std::size_t>(
       route_mix(opts_.route_seed, batch_index, owner) % replicas_.size());
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::size_t r = first_live_from_locked(preferred);
+  const std::size_t r = first_live_from(preferred);
   CGRAPH_CHECK_MSG(r != kNoReplica,
                    "no live replica to route a batch to (all replicas dead)");
   return r;
@@ -120,8 +114,7 @@ std::size_t ReplicaRouter::route_point(std::uint64_t query_id) {
   const std::size_t preferred = static_cast<std::size_t>(
       route_mix(opts_.route_seed, query_id, 0x706f696e74ULL /* "point" */) %
       replicas_.size());
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::size_t r = first_live_from_locked(preferred);
+  const std::size_t r = first_live_from(preferred);
   CGRAPH_CHECK_MSG(r != kNoReplica,
                    "no live replica to route a point query to");
   ++stats_[r].point_queries_routed;
@@ -129,7 +122,6 @@ std::size_t ReplicaRouter::route_point(std::uint64_t query_id) {
 }
 
 std::vector<ReplicaRouter::HeartbeatMiss> ReplicaRouter::poll_heartbeats() {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<HeartbeatMiss> misses;
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     ReplicaStats& s = stats_[r];
@@ -154,20 +146,16 @@ ReplicaRouter::FailoverPlan ReplicaRouter::plan_failover(
   plan.dead = dead_replica;
   Cluster& dead = *replicas_[dead_replica];
   plan.dead_sim_seconds = dead.sim_seconds();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ReplicaStats& s = stats_[dead_replica];
-    if (s.health != ReplicaHealth::kDead) {
-      // A hard ReplicaDead is the failure detector's strongest signal:
-      // account it as a full threshold of missed heartbeats.
-      s.consecutive_misses = opts_.heartbeat_miss_threshold;
-      s.heartbeat_misses_total += opts_.heartbeat_miss_threshold;
-      s.health = ReplicaHealth::kDead;
-    }
-    ++failovers_;
-    plan.survivor = first_live_from_locked((dead_replica + 1) %
-                                           replicas_.size());
+  ReplicaStats& s = stats_[dead_replica];
+  if (s.health != ReplicaHealth::kDead) {
+    // A hard ReplicaDead is the failure detector's strongest signal:
+    // account it as a full threshold of missed heartbeats.
+    s.consecutive_misses = opts_.heartbeat_miss_threshold;
+    s.heartbeat_misses_total += opts_.heartbeat_miss_threshold;
+    s.health = ReplicaHealth::kDead;
   }
+  ++failovers_;
+  plan.survivor = first_live_from((dead_replica + 1) % replicas_.size());
   CGRAPH_CHECK_MSG(plan.survivor != kNoReplica,
                    "replica died with no survivor to fail over to");
   plan.can_adopt = dead.recovery_enabled() &&
@@ -206,7 +194,6 @@ void ReplicaRouter::on_batch_success(std::size_t r) {
   for (std::size_t i = 0; i < executors_.size(); ++i) {
     if (i != r) executors_[i]->sync_memory_model(retained, peak);
   }
-  std::lock_guard<std::mutex> lk(mu_);
   ++stats_[r].batches_executed;
   stats_[r].consecutive_misses = 0;
 }
@@ -220,7 +207,6 @@ std::uint64_t ReplicaRouter::peak_memory_bytes() const {
 }
 
 void ReplicaRouter::publish_metrics(obs::MetricsRegistry& reg) const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::size_t healthy = 0;
   for (std::size_t r = 0; r < stats_.size(); ++r) {
     const ReplicaStats& s = stats_[r];

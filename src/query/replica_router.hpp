@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "graph/partition.hpp"
@@ -96,16 +95,15 @@ class ReplicaRouter {
   /// batch_index, owner partition of the batch's first root) picks the
   /// preferred replica; the first non-dead replica scanning from it is
   /// returned. Pure in (seed, batch, owner, set of dead replicas) — and
-  /// the dead set evolves deterministically on the executor thread — so a
-  /// replay routes identically.
+  /// the dead set evolves deterministically — so a replay routes
+  /// identically.
   [[nodiscard]] std::size_t route_batch(std::uint64_t batch_index,
                                         VertexId first_root) const;
 
   /// Route an index-answerable point query (the bypass lane never touches
   /// replica state — the index tier is shared — so this is attribution:
   /// which healthy replica the hit is accounted to). Bumps that replica's
-  /// point_queries_routed. Thread-safe: called from the admission thread
-  /// while batches execute.
+  /// point_queries_routed.
   std::size_t route_point(std::uint64_t query_id);
 
   /// Owning partition of a root under the shared RangePartition (the
@@ -163,16 +161,12 @@ class ReplicaRouter {
   void publish_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  [[nodiscard]] std::size_t first_live_from_locked(std::size_t start) const;
+  [[nodiscard]] std::size_t first_live_from(std::size_t start) const;
 
   std::vector<Cluster*> replicas_;
   const RangePartition& partition_;
   ReplicaRouterOptions opts_;
   std::vector<std::unique_ptr<BatchExecutor>> executors_;
-
-  /// Guards health/counters: the admission thread routes point queries
-  /// while the executor thread dispatches batches and fails over.
-  mutable std::mutex mu_;
   std::vector<ReplicaStats> stats_;
   std::uint64_t failovers_ = 0;
 };

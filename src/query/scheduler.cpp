@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <numeric>
 
-#include "obs/event_tracer.hpp"
 #include "query/distributed_khop.hpp"
 #include "query/msbfs.hpp"
+#include "query/service.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 #include "util/logging.hpp"
@@ -141,145 +143,58 @@ ConcurrentRunResult run_concurrent_queries(
     const SchedulerOptions& opts) {
   CGRAPH_CHECK(!queries.empty());
 
-  obs::MetricsRegistry& registry =
-      opts.metrics != nullptr ? *opts.metrics : obs::MetricsRegistry::global();
-  obs::TraceSpan run_span("run_concurrent_queries", &registry);
-
-  BatchExecutor executor(cluster, shards, partition, opts);
-  const BatchPolicy policy = executor.policy();
-
-  ConcurrentRunResult run;
-  run.queries.resize(queries.size());
-  run.telemetry.effective_policy = to_string(policy);
-
-  // Batch composition: FIFO keeps submission order; degree-sorted groups
-  // queries with similar expected work. `order[i]` maps execution slot i
-  // back to the submission index.
+  // A closed stream: every query arrives at t=0, in policy order. The
+  // degree sort is global here; the service's per-batch stable sort then
+  // keeps it. `order[j]` maps stream slot j back to the submission index.
   std::vector<std::size_t> order(queries.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<KHopQuery> reordered;
-  std::span<const KHopQuery> exec_queries = queries;
-  if (policy == BatchPolicy::kDegreeSorted) {
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (effective_batch_policy(opts) == BatchPolicy::kDegreeSorted) {
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return opts.degree_of(queries[a].source) >
                               opts.degree_of(queries[b].source);
                      });
-    reordered.reserve(queries.size());
-    for (std::size_t i : order) reordered.push_back(queries[i]);
-    exec_queries = reordered;
   }
+  std::vector<TimedQuery> stream;
+  stream.reserve(queries.size());
+  for (std::size_t i : order) stream.push_back({queries[i], 0.0});
 
-  double wait_wall = 0;
-  double wait_sim = 0;
+  // Unbounded queue, no deadline, infinite linger: batches seal only when
+  // full (the tail at t=0) and run back-to-back.
+  ServiceOptions so;
+  so.scheduler = opts;
+  so.queue_cap = 0;
+  so.deadline_seconds = 0;
+  so.linger_seconds = std::numeric_limits<double>::infinity();
+  ServiceRunResult svc =
+      run_query_service(cluster, shards, partition, stream, so);
 
-  for (std::size_t begin = 0; begin < exec_queries.size();
-       begin += opts.batch_width) {
-    const std::size_t end =
-        std::min(begin + opts.batch_width, exec_queries.size());
-    const std::span<const KHopQuery> batch =
-        exec_queries.subspan(begin, end - begin);
-
-    obs::TraceSpan batch_span("batch_execute", &registry);
-    // Engine events carry batch-relative sim times (every engine resets the
-    // cluster clocks); the batch context re-bases them onto the run's
-    // absolute sim axis and stamps the batch id. Batches execute serially,
-    // so one global context is race-free.
-    obs::EventTracer* tracer = obs::EventTracer::current();
-    if (tracer != nullptr) {
-      tracer->set_batch_context(static_cast<std::int64_t>(run.batches),
-                                wait_sim);
-    }
-    BatchExecutor::Outcome out = executor.execute(batch);
-    if (tracer != nullptr) tracer->clear_batch_context();
-    batch_span.finish();
-
-    obs::BatchTrace bt = std::move(out.trace);
-    bt.index = run.batches;
-    bt.wait_sim_seconds = wait_sim;
-    ++run.batches;
-    run.total_edges_scanned += out.result.edges_scanned;
-
-    if (obs::tracing_enabled()) {
-      obs::TraceEvent ev;
-      ev.phase = obs::TraceEventPhase::kBatchExecute;
-      ev.kind = obs::TraceEventKind::kSpan;
-      ev.machine = obs::TraceEvent::kExecutorTrack;
-      ev.batch = static_cast<std::int64_t>(bt.index);
-      ev.sim_seconds = wait_sim;
-      ev.sim_dur_seconds = out.result.sim_seconds * out.slowdown;
-      ev.wall_dur_ns = static_cast<std::uint64_t>(
-          out.result.wall_seconds * 1e9);
-      ev.a = static_cast<double>(batch.size());
-      obs::trace(ev);
-      if (out.reexecuted) {
-        for (const KHopQuery& q : batch) {
-          obs::TraceEvent rx;
-          rx.phase = obs::TraceEventPhase::kQueryReexecuted;
-          rx.kind = obs::TraceEventKind::kInstant;
-          rx.machine = obs::TraceEvent::kExecutorTrack;
-          rx.query = static_cast<std::int64_t>(q.id);
-          rx.batch = static_cast<std::int64_t>(bt.index);
-          rx.sim_seconds = wait_sim;
-          obs::trace(rx);
-        }
-      }
-    }
-
-    const MsBfsBatchResult& br = out.result;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      QueryResult& qr = run.queries[order[begin + i]];
-      qr.id = batch[i].id;
-      qr.visited = br.visited[i];
-      qr.levels = br.levels[i];
-      qr.wall_seconds =
-          wait_wall + br.completion_wall_seconds[i] * out.slowdown;
-      qr.sim_seconds =
-          wait_sim + br.completion_sim_seconds[i] * out.slowdown;
-
-      obs::QueryTrace qt;
-      qt.id = batch[i].id;
-      qt.batch_index = bt.index;
-      qt.levels = br.levels[i];
-      qt.visited = br.visited[i];
-      qt.wait_sim_seconds = wait_sim;
-      qt.execute_sim_seconds = br.completion_sim_seconds[i] * out.slowdown;
-      run.telemetry.queries.push_back(qt);
-
-      if (obs::tracing_enabled()) {
-        obs::TraceEvent ev;
-        ev.phase = obs::TraceEventPhase::kQuery;
-        ev.kind = obs::TraceEventKind::kSpan;
-        ev.machine = obs::TraceEvent::kExecutorTrack;
-        ev.query = static_cast<std::int64_t>(qr.id);
-        ev.batch = static_cast<std::int64_t>(bt.index);
-        ev.sim_seconds = 0.0;  // closed-loop: all queries submitted at t=0
-        ev.sim_dur_seconds = qr.sim_seconds;
-        ev.a = static_cast<double>(qr.visited);
-        ev.b = static_cast<double>(qr.levels);
-        obs::trace(ev);
-        obs::TraceEvent done_ev;
-        done_ev.phase = obs::TraceEventPhase::kQueryComplete;
-        done_ev.kind = obs::TraceEventKind::kInstant;
-        done_ev.machine = obs::TraceEvent::kExecutorTrack;
-        done_ev.query = static_cast<std::int64_t>(qr.id);
-        done_ev.batch = static_cast<std::int64_t>(bt.index);
-        done_ev.sim_seconds = qr.sim_seconds;
-        done_ev.a = static_cast<double>(qr.visited);
-        done_ev.b = static_cast<double>(qr.levels);
-        obs::trace(done_ev);
-      }
-    }
-    wait_wall += br.wall_seconds * out.slowdown;
-    wait_sim += br.sim_seconds * out.slowdown;
-    run.telemetry.batches.push_back(std::move(bt));
+  ConcurrentRunResult run;
+  // Measured host wall at each batch start: the walls of the batches
+  // before it. The modelled memory slowdown stretches sim fields only.
+  std::vector<double> wall_at_start;
+  wall_at_start.reserve(svc.telemetry.batches.size());
+  for (const obs::BatchTrace& bt : svc.telemetry.batches) {
+    wall_at_start.push_back(run.total_wall_seconds);
+    run.total_wall_seconds += bt.execute_wall_seconds;
   }
-
-  run.peak_memory_bytes = executor.peak_memory_bytes();
-  run.total_wall_seconds = wait_wall;
-  run.total_sim_seconds = wait_sim;
-  run_span.finish();
-  run.telemetry.publish(registry);
+  run.queries.resize(queries.size());
+  for (std::size_t j = 0; j < stream.size(); ++j) {
+    const ServiceQueryRecord& r = svc.queries[j];
+    QueryResult& qr = run.queries[order[j]];
+    qr.id = r.id;
+    qr.visited = r.visited;
+    qr.levels = r.levels;
+    qr.wall_seconds = wall_at_start[r.batch_index] + r.execute_wall_seconds;
+    qr.sim_seconds = r.response_sim_seconds;
+  }
+  for (const ServiceBatchRecord& b : svc.batches) {
+    run.total_edges_scanned += b.edges_scanned;
+  }
+  run.total_sim_seconds = svc.makespan_sim_seconds;
+  run.peak_memory_bytes = svc.peak_memory_bytes;
+  run.batches = svc.batches.size();
+  run.telemetry = std::move(svc.telemetry);
   return run;
 }
 

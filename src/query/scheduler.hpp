@@ -8,6 +8,12 @@
 // response time is its queue wait plus its completion time inside its own
 // batch, which is exactly how response time stacks in the real system.
 //
+// run_concurrent_queries has no batch loop of its own: it feeds the query
+// service (query/service.hpp) a closed stream — every arrival at t=0, an
+// unbounded queue, an infinite linger — and maps the records back to
+// submission order. This header holds the options and the BatchExecutor
+// core the service runs every batch through.
+//
 // Memory model: every finished query retains its result (the paper notes
 // "every query returns with found paths, the memory usage increases
 // linearly with the query count"). When the modeled footprint exceeds the
@@ -87,12 +93,10 @@ struct SchedulerOptions {
 /// silent.
 [[nodiscard]] BatchPolicy effective_batch_policy(const SchedulerOptions& opts);
 
-/// Reusable batch-execute core shared by the offline scheduler
-/// (run_concurrent_queries) and the online service layer
-/// (run_query_service). Executes one admitted batch on the cluster via the
-/// configured engine and carries the cross-batch memory-retention model
-/// ("every query returns with found paths"), so the same admitted batch
-/// produces bit-identical visited/levels whichever front end formed it.
+/// Batch-execute core of the query service (one per cluster; the
+/// ReplicaRouter keeps one per replica). Executes one admitted batch on
+/// the cluster via the configured engine and carries the cross-batch
+/// memory-retention model ("every query returns with found paths").
 class BatchExecutor {
  public:
   BatchExecutor(Cluster& cluster, const std::vector<SubgraphShard>& shards,
@@ -158,7 +162,9 @@ class BatchExecutor {
 
 struct ConcurrentRunResult {
   std::vector<QueryResult> queries;  // submission order
+  /// Sum of the measured host walls of the batches.
   double total_wall_seconds = 0;
+  /// Sum of the simulated batch makespans (memory slowdown included).
   double total_sim_seconds = 0;
   std::uint64_t total_edges_scanned = 0;
   std::uint64_t peak_memory_bytes = 0;
@@ -169,7 +175,9 @@ struct ConcurrentRunResult {
 };
 
 /// Execute all queries "simultaneously submitted" against the sharded
-/// graph and report per-query response times.
+/// graph and report per-query response times: run_query_service over a
+/// closed stream (kDegreeSorted sorts the whole stream by root degree
+/// first, stably).
 ConcurrentRunResult run_concurrent_queries(
     Cluster& cluster, const std::vector<SubgraphShard>& shards,
     const RangePartition& partition, std::span<const KHopQuery> queries,

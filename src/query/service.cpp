@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 
 #include "obs/event_tracer.hpp"
 #include "query/replica_router.hpp"
@@ -34,16 +30,10 @@ struct PendingQuery {
   double arrival = 0;
 };
 
-struct SealedBatch {
-  std::size_t index = 0;
-  double seal_time = 0;
-  std::vector<PendingQuery> members;  // execution (policy) order
-};
-
-/// The admission/execution pipeline. All timing decisions are made in
-/// simulated time from deterministic inputs; the mutex only orders the
-/// handoff of sealed batches and the publication of batch start/finish
-/// facts, so the pipelined and serial modes produce identical outcomes.
+/// The admission/execution pipeline, run on the caller thread: a sealed
+/// batch executes in place before admission consumes the next arrival.
+/// Every decision is a pure function of arrival times and simulated batch
+/// makespans, so executing in place changes nothing admission observes.
 class ServicePipeline {
  public:
   ServicePipeline(Cluster& cluster, const std::vector<SubgraphShard>& shards,
@@ -87,25 +77,12 @@ class ServicePipeline {
   }
 
   void run() {
-    std::thread worker;
-    if (opts_.pipeline) {
-      worker = std::thread([this] {
-        while (process_one_batch()) {
-        }
-      });
-    }
     admit_all();
-    if (opts_.pipeline) {
-      worker.join();
-    } else {
-      while (process_one_batch()) {
-      }
-    }
     finalize();
   }
 
  private:
-  // ---- admission side (caller thread) ----
+  // ---- admission ----
 
   void admit_all() {
     double last_arrival = 0;
@@ -213,110 +190,80 @@ class ServicePipeline {
         seal(t);
       }
     }
+    // Tail seal: a finite linger closes the window at oldest + linger;
+    // an infinite one has no timer, so the end of the stream closes it.
     if (!pending_.empty()) {
-      seal(opts_.linger_seconds > 0
+      seal(std::isfinite(opts_.linger_seconds)
                ? pending_.front().arrival + opts_.linger_seconds
                : last_arrival);
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      closed_ = true;
-    }
-    work_cv_.notify_all();
   }
 
+  /// Close the pending window into the next batch and execute it in place.
   void seal(double seal_time) {
-    SealedBatch sb;
-    sb.index = sealed_total_;
-    sb.seal_time = seal_time;
-    sb.members = std::move(pending_);
+    const std::size_t index = result_.batches.size();
+    std::vector<PendingQuery> members = std::move(pending_);
     pending_.clear();
     if (obs::tracing_enabled()) {
       obs::TraceEvent ev;
       ev.phase = obs::TraceEventPhase::kBatchSeal;
       ev.kind = obs::TraceEventKind::kInstant;
       ev.machine = obs::TraceEvent::kAdmissionTrack;
-      ev.batch = static_cast<std::int64_t>(sb.index);
+      ev.batch = static_cast<std::int64_t>(index);
       ev.sim_seconds = seal_time;
-      ev.a = static_cast<double>(sb.members.size());
+      ev.a = static_cast<double>(members.size());
       obs::trace(ev);
     }
     if (executor_.policy() == BatchPolicy::kDegreeSorted) {
       // Degree-sorted within the admitted window; stable so equal-degree
-      // queries keep submission order (the tie rule the offline scheduler
-      // pins too).
+      // queries keep submission order, and a stream that is already sorted
+      // (run_concurrent_queries) keeps its order.
       const auto& degree_of = opts_.scheduler.degree_of;
-      std::stable_sort(sb.members.begin(), sb.members.end(),
+      std::stable_sort(members.begin(), members.end(),
                        [&](const PendingQuery& a, const PendingQuery& b) {
                          return degree_of(arrivals_[a.submission].query.source) >
                                 degree_of(arrivals_[b.submission].query.source);
                        });
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      sealed_sizes_.push_back(sb.members.size());
-      start_times_.push_back(0);
-      finish_times_.push_back(0);
-      backlog_.push_back(std::move(sb));
-    }
-    ++sealed_total_;
-    work_cv_.notify_one();
-    if (!opts_.pipeline) {
-      process_one_batch();  // serial mode: execute in place
-    }
+    execute(index, seal_time, members);
   }
 
   /// Queries sealed into batches that have not started executing by sim
-  /// time t. Waits (wall-clock) until the executor has published enough
-  /// start/finish facts to answer — the answer itself is a pure function
-  /// of sim time, so waiting never changes it.
+  /// time t. Every sealed batch has already run, and batch starts are
+  /// monotone (start_b >= finish_{b-1}), so the started batches are a
+  /// prefix that only grows as the arrival times do.
   [[nodiscard]] std::size_t waiting_admitted_at(double t) {
-    std::unique_lock<std::mutex> lk(mu_);
-    timed_cv_.wait(lk, [&] {
-      // Every sealed batch is either timed, or provably starts after t
-      // because an earlier batch finishes after t (starts are monotone:
-      // start_b >= finish_{b-1}).
-      return timed_ == sealed_total_ ||
-             (timed_ > 0 && finish_times_[timed_ - 1] > t);
-    });
-    std::size_t waiting = 0;
-    for (std::size_t b = 0; b < sealed_sizes_.size(); ++b) {
-      const bool started = b < timed_ && start_times_[b] <= t;
-      if (!started) waiting += sealed_sizes_[b];
+    const std::vector<ServiceBatchRecord>& batches = result_.batches;
+    while (started_ < batches.size() &&
+           batches[started_].start_sim_seconds <= t) {
+      unstarted_ -= batches[started_].admitted;
+      ++started_;
     }
-    return waiting;
+    return unstarted_;
   }
 
-  // ---- execution side (worker thread; caller thread in serial mode) ----
+  // ---- execution ----
 
-  bool process_one_batch() {
-    SealedBatch sb;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return !backlog_.empty() || closed_; });
-      if (backlog_.empty()) return false;
-      sb = std::move(backlog_.front());
-      backlog_.pop_front();
-    }
-
-    const double start = std::max(sb.seal_time, server_free_);
+  void execute(std::size_t index, double seal_time,
+               std::span<const PendingQuery> members) {
+    const double start = std::max(seal_time, server_free_);
 
     ServiceBatchRecord rec;
-    rec.index = sb.index;
-    rec.seal_sim_seconds = sb.seal_time;
+    rec.index = index;
+    rec.seal_sim_seconds = seal_time;
     rec.start_sim_seconds = start;
-    rec.admitted = sb.members.size();
+    rec.admitted = members.size();
 
     // Deadline shedding at the head of the line: queries whose deadline
     // has already passed are dropped before the engine runs.
     std::vector<PendingQuery> live;
-    live.reserve(sb.members.size());
-    for (const PendingQuery& pq : sb.members) {
+    live.reserve(members.size());
+    for (const PendingQuery& pq : members) {
       const double wait = start - pq.arrival;
       if (opts_.deadline_seconds > 0 && wait > opts_.deadline_seconds) {
         ServiceQueryRecord& r = result_.queries[pq.submission];
         r.outcome = ServiceOutcome::kExpired;
-        r.batch_index = sb.index;
+        r.batch_index = index;
         r.queue_wait_sim_seconds = wait;
         if (obs::tracing_enabled()) {
           obs::TraceEvent ev;
@@ -324,7 +271,7 @@ class ServicePipeline {
           ev.kind = obs::TraceEventKind::kInstant;
           ev.machine = obs::TraceEvent::kExecutorTrack;
           ev.query = static_cast<std::int64_t>(r.id);
-          ev.batch = static_cast<std::int64_t>(sb.index);
+          ev.batch = static_cast<std::int64_t>(index);
           ev.sim_seconds = start;
           ev.a = wait;
           obs::trace(ev);
@@ -333,7 +280,7 @@ class ServicePipeline {
         live.push_back(pq);
       }
     }
-    rec.expired = sb.members.size() - live.size();
+    rec.expired = members.size() - live.size();
 
     double finish = start;
     if (!live.empty()) {
@@ -363,9 +310,8 @@ class ServicePipeline {
 
       // Engine events carry batch-relative sim times; the batch context
       // re-bases them onto the service's absolute sim axis and stamps the
-      // batch id. One batch executes at a time (even across replicas:
-      // server_free_ serializes dispatch), so the single global context is
-      // race-free even pipelined.
+      // batch id. One batch executes at a time, on any replica, so one
+      // global context is race-free.
       obs::EventTracer* tracer = obs::EventTracer::current();
       QueryBitRows visited_plane;
       BatchExecutor::Outcome out;
@@ -381,7 +327,7 @@ class ServicePipeline {
 
       if (router == nullptr) {
         if (tracer != nullptr) {
-          tracer->set_batch_context(static_cast<std::int64_t>(sb.index),
+          tracer->set_batch_context(static_cast<std::int64_t>(index),
                                     start);
         }
         out = executor_.execute(batch,
@@ -394,7 +340,7 @@ class ServicePipeline {
           ev.phase = obs::TraceEventPhase::kReplicaRoute;
           ev.kind = obs::TraceEventKind::kInstant;
           ev.machine = obs::TraceEvent::kExecutorTrack;
-          ev.batch = static_cast<std::int64_t>(sb.index);
+          ev.batch = static_cast<std::int64_t>(index);
           ev.sim_seconds = start + wasted;
           ev.a = static_cast<double>(replica);
           ev.b = static_cast<double>(
@@ -410,18 +356,18 @@ class ServicePipeline {
           ev.phase = obs::TraceEventPhase::kHeartbeatMiss;
           ev.kind = obs::TraceEventKind::kInstant;
           ev.machine = obs::TraceEvent::kExecutorTrack;
-          ev.batch = static_cast<std::int64_t>(sb.index);
+          ev.batch = static_cast<std::int64_t>(index);
           ev.sim_seconds = start;
           ev.a = static_cast<double>(miss.replica);
           ev.b = static_cast<double>(miss.consecutive);
           obs::trace(ev);
         }
         std::size_t r = router->route_batch(
-            static_cast<std::uint64_t>(sb.index), batch.front().source);
+            static_cast<std::uint64_t>(index), batch.front().source);
         trace_route(r);
         for (;;) {
           if (tracer != nullptr) {
-            tracer->set_batch_context(static_cast<std::int64_t>(sb.index),
+            tracer->set_batch_context(static_cast<std::int64_t>(index),
                                       start + wasted);
           }
           try {
@@ -443,7 +389,7 @@ class ServicePipeline {
               ev.phase = obs::TraceEventPhase::kReplicaFailover;
               ev.kind = obs::TraceEventKind::kInstant;
               ev.machine = obs::TraceEvent::kExecutorTrack;
-              ev.batch = static_cast<std::int64_t>(sb.index);
+              ev.batch = static_cast<std::int64_t>(index);
               ev.sim_seconds = t_fail;
               ev.a = static_cast<double>(plan.dead);
               ev.b = static_cast<double>(plan.survivor);
@@ -467,7 +413,7 @@ class ServicePipeline {
                   t_fail - pq.arrival > opts_.deadline_seconds;
               if (over_deadline || qr.failover_attempts >= budget) {
                 qr.outcome = ServiceOutcome::kShed;
-                qr.batch_index = sb.index;
+                qr.batch_index = index;
                 qr.queue_wait_sim_seconds = t_fail - pq.arrival;
                 ++rec.failover_shed;
                 if (obs::tracing_enabled()) {
@@ -476,7 +422,7 @@ class ServicePipeline {
                   ev.kind = obs::TraceEventKind::kInstant;
                   ev.machine = obs::TraceEvent::kExecutorTrack;
                   ev.query = static_cast<std::int64_t>(qr.id);
-                  ev.batch = static_cast<std::int64_t>(sb.index);
+                  ev.batch = static_cast<std::int64_t>(index);
                   ev.sim_seconds = t_fail;
                   ev.a = t_fail - pq.arrival;
                   obs::trace(ev);
@@ -512,13 +458,14 @@ class ServicePipeline {
                        : out.result.sim_seconds * out.slowdown + wasted;
       finish = start + makespan;
       rec.makespan_sim_seconds = makespan;
+      if (!live.empty()) rec.edges_scanned = out.result.edges_scanned;
 
       if (obs::tracing_enabled() && !live.empty()) {
         obs::TraceEvent ev;
         ev.phase = obs::TraceEventPhase::kBatchExecute;
         ev.kind = obs::TraceEventKind::kSpan;
         ev.machine = obs::TraceEvent::kExecutorTrack;
-        ev.batch = static_cast<std::int64_t>(sb.index);
+        ev.batch = static_cast<std::int64_t>(index);
         ev.sim_seconds = start;
         ev.sim_dur_seconds = makespan;
         ev.wall_dur_ns = static_cast<std::uint64_t>(
@@ -531,7 +478,7 @@ class ServicePipeline {
         rec.executed.push_back(batch[i].id);
         ServiceQueryRecord& r = result_.queries[live[i].submission];
         r.outcome = ServiceOutcome::kCompleted;
-        r.batch_index = sb.index;
+        r.batch_index = index;
         r.queue_wait_sim_seconds = start - live[i].arrival;
         // Answers are released when the batch commits, so the failover
         // penalty is borne by every member — including queries that had
@@ -540,6 +487,7 @@ class ServicePipeline {
             out.result.completion_sim_seconds[i] * out.slowdown + wasted;
         r.response_sim_seconds =
             r.queue_wait_sim_seconds + r.execute_sim_seconds;
+        r.execute_wall_seconds = out.result.completion_wall_seconds[i];
         r.visited = out.result.visited[i];
         r.levels = out.result.levels[i];
         if (batch[i].is_point() && want_visited) {
@@ -553,7 +501,7 @@ class ServicePipeline {
 
         obs::QueryTrace qt;
         qt.id = batch[i].id;
-        qt.batch_index = sb.index;
+        qt.batch_index = index;
         qt.levels = r.levels;
         qt.visited = r.visited;
         qt.wait_sim_seconds = r.queue_wait_sim_seconds;
@@ -567,7 +515,7 @@ class ServicePipeline {
           wait_ev.kind = obs::TraceEventKind::kSpan;
           wait_ev.machine = obs::TraceEvent::kAdmissionTrack;
           wait_ev.query = static_cast<std::int64_t>(r.id);
-          wait_ev.batch = static_cast<std::int64_t>(sb.index);
+          wait_ev.batch = static_cast<std::int64_t>(index);
           wait_ev.sim_seconds = arrival;
           wait_ev.sim_dur_seconds = r.queue_wait_sim_seconds;
           obs::trace(wait_ev);
@@ -576,7 +524,7 @@ class ServicePipeline {
           q_ev.kind = obs::TraceEventKind::kSpan;
           q_ev.machine = obs::TraceEvent::kExecutorTrack;
           q_ev.query = static_cast<std::int64_t>(r.id);
-          q_ev.batch = static_cast<std::int64_t>(sb.index);
+          q_ev.batch = static_cast<std::int64_t>(index);
           q_ev.sim_seconds = arrival;
           q_ev.sim_dur_seconds = r.response_sim_seconds;
           q_ev.a = static_cast<double>(r.visited);
@@ -587,7 +535,7 @@ class ServicePipeline {
           done_ev.kind = obs::TraceEventKind::kInstant;
           done_ev.machine = obs::TraceEvent::kExecutorTrack;
           done_ev.query = static_cast<std::int64_t>(r.id);
-          done_ev.batch = static_cast<std::int64_t>(sb.index);
+          done_ev.batch = static_cast<std::int64_t>(index);
           done_ev.sim_seconds = arrival + r.response_sim_seconds;
           done_ev.a = static_cast<double>(r.visited);
           done_ev.b = static_cast<double>(r.levels);
@@ -598,7 +546,7 @@ class ServicePipeline {
             rx.kind = obs::TraceEventKind::kInstant;
             rx.machine = obs::TraceEvent::kExecutorTrack;
             rx.query = static_cast<std::int64_t>(r.id);
-            rx.batch = static_cast<std::int64_t>(sb.index);
+            rx.batch = static_cast<std::int64_t>(index);
             rx.sim_seconds = start;
             obs::trace(rx);
           }
@@ -608,7 +556,7 @@ class ServicePipeline {
             fo.kind = obs::TraceEventKind::kInstant;
             fo.machine = obs::TraceEvent::kExecutorTrack;
             fo.query = static_cast<std::int64_t>(r.id);
-            fo.batch = static_cast<std::int64_t>(sb.index);
+            fo.batch = static_cast<std::int64_t>(index);
             fo.sim_seconds = live[i].arrival + r.response_sim_seconds;
             fo.a = static_cast<double>(last_dead);
             fo.b = static_cast<double>(last_survivor);
@@ -619,7 +567,7 @@ class ServicePipeline {
 
       if (!live.empty()) {
         obs::BatchTrace bt = std::move(out.trace);
-        bt.index = sb.index;
+        bt.index = index;
         bt.width = live.size();
         bt.wait_sim_seconds = start;
         result_.telemetry.batches.push_back(std::move(bt));
@@ -628,19 +576,11 @@ class ServicePipeline {
 
     server_free_ = finish;
     last_finish_ = std::max(last_finish_, finish);
+    unstarted_ += rec.admitted;
     result_.batches.push_back(std::move(rec));
-
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      start_times_[sb.index] = start;
-      finish_times_[sb.index] = finish;
-      timed_ = sb.index + 1;
-    }
-    timed_cv_.notify_all();
-    return true;
   }
 
-  // ---- assembly (caller thread, after the worker joined) ----
+  // ---- assembly ----
 
   void finalize() {
     ServiceStats& s = result_.stats;
@@ -690,26 +630,15 @@ class ServicePipeline {
   obs::Counter& index_misses_;
   obs::Counter& index_fallbacks_;
 
-  // Admission-thread state.
   std::vector<PendingQuery> pending_;
-  std::size_t sealed_total_ = 0;
   std::uint64_t index_miss_tally_ = 0;
-
-  // Execution-thread state.
+  std::uint64_t index_fallback_tally_ = 0;
   double server_free_ = 0;
   double last_finish_ = 0;
-  std::uint64_t index_fallback_tally_ = 0;
-
-  // Shared handoff state (guarded by mu_).
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // executor waits for sealed batches
-  std::condition_variable timed_cv_;  // admission waits for timing facts
-  std::deque<SealedBatch> backlog_;
-  bool closed_ = false;
-  std::vector<std::size_t> sealed_sizes_;
-  std::vector<double> start_times_;
-  std::vector<double> finish_times_;
-  std::size_t timed_ = 0;  // batches with published start/finish
+  // Batches [0, started_) have started by the latest arrival; unstarted_
+  // counts the members of the rest.
+  std::size_t started_ = 0;
+  std::size_t unstarted_ = 0;
 };
 
 void publish_service_metrics(obs::MetricsRegistry& reg,
@@ -744,17 +673,15 @@ void publish_service_metrics(obs::MetricsRegistry& reg,
   }
 
   obs::LogHistogram& response = reg.histogram(
-      "cgraph_service_response_seconds",
-      "End-to-end simulated latency (arrival -> answered), completed "
-      "queries");
+      "cgraph_query_response_sim_seconds",
+      "Simulated latency from arrival to answer, answered queries");
   obs::LogHistogram& wait = reg.histogram(
-      "cgraph_service_queue_wait_seconds",
+      "cgraph_query_queue_wait_sim_seconds",
       "Simulated wait from arrival to batch execution start, admitted "
       "queries");
   obs::LogHistogram& execute = reg.histogram(
-      "cgraph_service_execute_seconds",
-      "Simulated execution time (batch start -> answered), completed "
-      "queries");
+      "cgraph_query_execute_sim_seconds",
+      "Simulated time from batch start to answer, completed queries");
   for (const ServiceQueryRecord& r : result.queries) {
     if (r.outcome == ServiceOutcome::kShed) continue;
     if (r.outcome == ServiceOutcome::kIndexAnswered) {

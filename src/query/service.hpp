@@ -1,9 +1,10 @@
-// Online admission front end for the concurrent-query scheduler.
+// The query front end (paper §3.3: admit concurrent queries, pack them
+// into bit-parallel batches, run the batches one after another).
 //
-// The paper's §3.3 scenario is *concurrent* queries, but the offline
-// harness (run_concurrent_queries) assumes a closed world: every query
-// present at t=0, batches back-to-back. This layer serves an *open-loop*
-// arrival stream (gen/arrivals.hpp) the way a production front end would:
+// run_query_service serves an arrival stream (gen/arrivals.hpp) the way a
+// production front end would, and is the only batch path: the offline
+// run_concurrent_queries is this service fed a closed stream (every
+// arrival at t=0, unbounded queue, infinite linger).
 //
 //   * bounded admission queue with backpressure — when the queries waiting
 //     to start execution reach queue_cap, new arrivals are shed;
@@ -14,15 +15,13 @@
 //     admitted queries are pending OR the oldest has lingered
 //     linger_seconds, whichever first; FIFO or degree-sorted within the
 //     admitted window;
-//   * pipelined execution — batches execute on a worker thread through the
-//     shared BatchExecutor core while admission keeps consuming arrivals.
+//   * in-place execution — a sealed batch runs through the BatchExecutor
+//     core on the caller thread before the next arrival is admitted.
 //
 // Determinism: every admission / shedding / sealing decision is a pure
 // function of the arrival timestamps and the (deterministic) simulated
-// batch makespans, never of host wall-clock or thread interleaving, so a
-// pipelined run and a single-threaded run produce identical outcomes and
-// the same admitted batch is bit-exact versus the offline scheduler
-// (DESIGN.md §10).
+// batch makespans, never of host wall-clock, so the same stream always
+// forms the same batches with the same answers (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -64,12 +63,9 @@ struct ServiceOptions {
   /// 0 disables expiry.
   double deadline_seconds = 0;
   /// Max linger: a partial batch seals once its oldest admitted query has
-  /// waited this long. <= 0 seals every batch at first arrival.
+  /// waited this long. <= 0 seals every batch at first arrival. +inf seals
+  /// a batch only when it is full; the tail seals at the last arrival.
   double linger_seconds = 0.010;
-  /// Overlap admission with execution on a worker thread (the production
-  /// shape and the TSAN target); false runs both phases on the caller
-  /// thread — results are identical either way.
-  bool pipeline = true;
   /// Reachability index consulted for point queries (target set) before
   /// admission. Conclusive probes are answered in place (kIndexAnswered);
   /// inconclusive ones fall back to the traversal path, and their answer
@@ -100,6 +96,10 @@ struct ServiceQueryRecord {
   double queue_wait_sim_seconds = 0;
   /// Batch start -> this query answered (completed only).
   double execute_sim_seconds = 0;
+  /// Measured host wall from the start of the attempt that answered it to
+  /// this query's completion (completed only; never scaled by the
+  /// modelled memory slowdown).
+  double execute_wall_seconds = 0;
   /// End-to-end: arrival -> answered (completed only).
   double response_sim_seconds = 0;
   std::uint64_t visited = 0;
@@ -128,6 +128,8 @@ struct ServiceBatchRecord {
   double makespan_sim_seconds = 0;
   std::size_t admitted = 0;  // queries sealed into the batch
   std::size_t expired = 0;   // dropped at start for missed deadlines
+  /// Edges the engine scanned for the answering attempt (0 if nothing ran).
+  std::uint64_t edges_scanned = 0;
   /// Ids actually executed, in execution (policy) order — the admitted
   /// set the bit-exactness guarantee speaks about.
   std::vector<QueryId> executed;
@@ -181,21 +183,21 @@ struct ServiceRunResult {
   /// Last batch finish (or last arrival when nothing executed).
   double makespan_sim_seconds = 0;
   std::uint64_t peak_memory_bytes = 0;
-  /// Same structured trace the offline scheduler emits (executed batches
-  /// only); already published into the configured metrics registry along
-  /// with the cgraph_service_* series.
+  /// Structured trace of the executed batches and completed queries;
+  /// already published into the configured metrics registry along with
+  /// the cgraph_service_* series.
   obs::RunTelemetry telemetry;
 
   /// Exact end-to-end latency percentile over answered queries (completed
   /// + index-answered), p in (0, 100] (the
-  /// cgraph_service_response_seconds histogram is the scrape-able
+  /// cgraph_query_response_sim_seconds histogram is the scrape-able
   /// approximation). 0 when nothing was answered.
   [[nodiscard]] double response_percentile(double p) const;
 };
 
-/// Serve an open-loop arrival stream (nondecreasing timestamps) against
-/// the sharded graph. Crash/fault behavior follows whatever FaultPlan /
-/// RecoveryOptions the cluster carries — answers stay exact (PR 4).
+/// Serve an arrival stream (nondecreasing timestamps) against the sharded
+/// graph. Crash/fault behavior follows whatever FaultPlan /
+/// RecoveryOptions the cluster carries — answers stay exact (DESIGN.md §9).
 ServiceRunResult run_query_service(Cluster& cluster,
                                    const std::vector<SubgraphShard>& shards,
                                    const RangePartition& partition,

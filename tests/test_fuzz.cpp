@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "cgraph/cgraph.hpp"
 #include "net/fault.hpp"
@@ -224,6 +225,136 @@ TEST_P(ChaosFuzz, EnginesMatchReferenceUnderRandomFaults) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFuzz,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+class ChaosFuzzCombined : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Every cross-feature axis drawn at once in one service run: a mutation
+// trace applied through the head epoch, a replica killed mid-run, an index
+// mode (fresh at the head epoch, or superseded), a traversal direction and
+// a machine-crash schedule on each replica. Every answered query must
+// match the serial last-write-wins reference at the head epoch.
+TEST_P(ChaosFuzzCombined, ServiceMatchesLastWriteWinsReference) {
+  Xoshiro256 rng(GetParam() * 0x2545f4914f6cdd1dULL + 3);
+
+  const VertexId n = 48 + static_cast<VertexId>(rng.next_bounded(200));
+  const EdgeIndex m = n + rng.next_bounded(static_cast<std::uint64_t>(n) * 4);
+  const Graph base = Graph::build(generate_uniform(n, m, rng.next()), n);
+  const auto machines = static_cast<PartitionId>(2 + rng.next_bounded(3));
+  const auto part = RangePartition::balanced_by_edges(base, machines);
+  auto shards = build_shards(base, part);
+
+  MutationTraceOptions topt;
+  topt.seed = rng.next();
+  topt.num_epochs = 1 + rng.next_bounded(3);
+  topt.ops_per_epoch = 8 + rng.next_bounded(32);
+  topt.delete_fraction = 0.5 * rng.next_double();
+  const MutationTrace trace = generate_mutation_trace(base, topt);
+  for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
+    apply_trace_epoch(std::span(shards), trace, e);
+  }
+  const Graph ref = Graph::build(
+      apply_mutation_trace(base, trace, trace.epochs.size()), n);
+
+  const IndexMode kModes[] = {IndexMode::kOff, IndexMode::kGrail,
+                              IndexMode::kGates, IndexMode::kFull};
+  IndexOptions io;
+  io.mode = kModes[rng.next_bounded(4)];
+  const bool fresh_index = rng.next_bounded(2) == 0;
+  ReachIndex index = ReachIndex::build(fresh_index ? ref : base, io);
+  if (fresh_index) index.set_built_epoch(trace.epochs.size());
+
+  DirectionOptions direction;
+  switch (rng.next_bounded(3)) {
+    case 0:
+      direction.mode = TraversalDirection::kPush;
+      break;
+    case 1:
+      direction.mode = TraversalDirection::kPull;
+      break;
+    default:
+      direction.mode = TraversalDirection::kHybrid;
+      direction.alpha = 0.25 * (1u << rng.next_bounded(16));
+      direction.beta = 0.25 * (1u << rng.next_bounded(16));
+      break;
+  }
+
+  std::vector<std::unique_ptr<Cluster>> storage;
+  std::vector<Cluster*> replicas;
+  std::string crashes;
+  for (std::size_t r = 0; r < 2; ++r) {
+    storage.push_back(std::make_unique<Cluster>(machines));
+    Cluster& c = *storage.back();
+    auto plan = std::make_shared<FaultPlan>(GetParam() * 2 + r);
+    if (rng.next_bounded(2) == 0) {
+      const auto machine = static_cast<PartitionId>(rng.next_bounded(machines));
+      const std::uint64_t step = 1 + rng.next_bounded(8);
+      plan->add_crash(machine, step);
+      crashes += " crash r" + std::to_string(r) + ":m" +
+                 std::to_string(machine) + "@" + std::to_string(step);
+    }
+    c.fabric().install_fault_plan(plan);
+    c.set_recovery(RecoveryOptions{});
+    replicas.push_back(&c);
+  }
+  const std::size_t victim = rng.next_bounded(2);
+  HaltSpec halt;
+  halt.at_superstep = 1 + rng.next_bounded(10);
+  replicas[victim]->arm_halt(halt);
+
+  SCOPED_TRACE("seed=" + std::to_string(GetParam()) + " epochs=" +
+               std::to_string(trace.epochs.size()) + " index=" +
+               to_string(io.mode) + (fresh_index ? "/fresh" : "/superseded") +
+               " direction=" + to_string(direction.mode) + " kill=r" +
+               std::to_string(victim) + "@" +
+               std::to_string(halt.at_superstep) + crashes);
+
+  obs::MetricsRegistry registry;
+  ServiceOptions opts;
+  opts.scheduler.batch_width = 4 + rng.next_bounded(13);
+  opts.scheduler.direction = direction;
+  opts.scheduler.metrics = &registry;
+  opts.queue_cap = 0;
+  opts.linger_seconds = 5e-4;
+  opts.index = &index;
+  ReplicaRouterOptions ro;
+  ro.route_seed = rng.next();
+  ReplicaRouter router(replicas, shards, part, opts.scheduler, ro);
+  opts.router = &router;
+
+  PoissonArrivalParams ap;
+  ap.rate_qps = 4000;
+  ap.count = 24 + rng.next_bounded(24);
+  ap.k = static_cast<Depth>(1 + rng.next_bounded(4));
+  ap.seed = rng.next();
+  ap.point_fraction = 0.5;
+  const auto arrivals = make_poisson_arrivals(base, ap);
+  const auto run =
+      run_query_service(*replicas[0], shards, part, arrivals, opts);
+
+  EXPECT_TRUE(run.stats.identities_hold());
+  EXPECT_EQ(run.stats.shed, 0u);
+  EXPECT_EQ(run.stats.completed + run.stats.index_answered, arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const KHopQuery& q = arrivals[i].query;
+    const ServiceQueryRecord& rec = run.queries[i];
+    ASSERT_TRUE(rec.outcome == ServiceOutcome::kCompleted ||
+                rec.outcome == ServiceOutcome::kIndexAnswered)
+        << "query " << q.id << " ended " << to_string(rec.outcome);
+    if (q.is_point()) {
+      const bool truth =
+          bfs_levels(ref, q.source, q.k)[q.target] != kUnvisitedDepth;
+      EXPECT_EQ(rec.reachable, truth ? 1 : 0)
+          << "point query " << q.id << ": " << q.source << " -> "
+          << q.target << " (" << to_string(rec.outcome) << ")";
+    } else {
+      EXPECT_EQ(rec.visited, khop_reach_count(ref, q.source, q.k))
+          << "query " << q.id;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFuzzCombined,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace cgraph

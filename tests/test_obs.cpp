@@ -220,7 +220,7 @@ void check_run_telemetry(const ConcurrentRunResult& run,
   std::ostringstream want_queries;
   want_queries << "cgraph_queries_total " << nqueries << "\n";
   EXPECT_NE(text.find(want_queries.str()), std::string::npos);
-  EXPECT_NE(text.find("cgraph_query_response_seconds_count "),
+  EXPECT_NE(text.find("cgraph_query_response_sim_seconds_count "),
             std::string::npos);
   EXPECT_NE(text.find("cgraph_superstep_edges_total{level=\"0\"}"),
             std::string::npos);
@@ -246,7 +246,7 @@ TEST(SchedulerTelemetry, BitParallelReconcilesWithAggregates) {
   // The response histogram saw every query.
   const std::string text = reg.to_prometheus();
   std::ostringstream want;
-  want << "cgraph_query_response_seconds_count " << queries.size() << "\n";
+  want << "cgraph_query_response_sim_seconds_count " << queries.size() << "\n";
   EXPECT_NE(text.find(want.str()), std::string::npos);
 }
 

@@ -311,6 +311,70 @@ TEST(Scheduler, DegreeSortedOrderMappingAndStableTies) {
   }
 }
 
+// The closed stream stacks batches exactly: replaying the same degree-
+// sorted batches through a fresh BatchExecutor, each query's sim time is
+// the earlier batches' makespans plus its own completion x slowdown, to
+// the bit, reported in submission order. The overshooting memory budget
+// makes the slowdown > 1, and the measured walls are never scaled by it.
+TEST(Scheduler, ClosedLoopStacksBatchesExactly) {
+  Fixture f(3, /*scale=*/8);
+  const auto queries = make_random_queries(f.graph, 50, 3, 41);
+  SchedulerOptions opts;
+  opts.policy = BatchPolicy::kDegreeSorted;
+  opts.degree_of = [&](VertexId v) { return f.graph.out_degree(v); };
+  opts.batch_width = 16;  // batches of 16/16/16/2
+  opts.memory_budget_bytes = 4096;
+  opts.memory_penalty = 2.0;
+  const auto run = run_concurrent_queries(f.cluster, f.shards, f.partition,
+                                          queries, opts);
+  ASSERT_EQ(run.batches, 4u);
+  ASSERT_EQ(run.queries.size(), queries.size());
+
+  std::vector<std::size_t> order(queries.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return f.graph.out_degree(queries[a].source) >
+                            f.graph.out_degree(queries[b].source);
+                   });
+  Cluster fresh(3);
+  BatchExecutor ref(fresh, f.shards, f.partition, opts);
+  double before = 0;
+  double max_slowdown = 1;
+  double wall_sum = 0;
+  for (std::size_t begin = 0, b = 0; begin < order.size();
+       begin += opts.batch_width, ++b) {
+    const std::size_t end = std::min(begin + opts.batch_width, order.size());
+    std::vector<KHopQuery> batch;
+    for (std::size_t j = begin; j < end; ++j) {
+      batch.push_back(queries[order[j]]);
+    }
+    const BatchExecutor::Outcome out = ref.execute(batch);
+    max_slowdown = std::max(max_slowdown, out.slowdown);
+    ASSERT_LT(b, run.telemetry.batches.size());
+    EXPECT_EQ(run.telemetry.batches[b].execute_sim_seconds,
+              out.result.sim_seconds * out.slowdown);
+    for (std::size_t j = begin; j < end; ++j) {
+      const QueryResult& qr = run.queries[order[j]];
+      EXPECT_EQ(qr.id, queries[order[j]].id);
+      EXPECT_EQ(qr.visited, out.result.visited[j - begin]);
+      EXPECT_EQ(qr.levels, out.result.levels[j - begin]);
+      EXPECT_EQ(qr.sim_seconds,
+                before + out.result.completion_sim_seconds[j - begin] *
+                             out.slowdown)
+          << "submission slot " << order[j];
+      EXPECT_GE(qr.wall_seconds, wall_sum);
+      EXPECT_LE(qr.wall_seconds,
+                wall_sum + run.telemetry.batches[b].execute_wall_seconds);
+    }
+    before += run.telemetry.batches[b].execute_sim_seconds;
+    wall_sum += run.telemetry.batches[b].execute_wall_seconds;
+  }
+  EXPECT_GT(max_slowdown, 1.0);
+  EXPECT_EQ(run.total_sim_seconds, before);
+  EXPECT_EQ(run.total_wall_seconds, wall_sum);
+}
+
 TEST(Scheduler, TotalEdgeWorkReported) {
   Fixture f(2);
   const auto queries = make_random_queries(f.graph, 8, 3, 29);

@@ -4,12 +4,13 @@
 //     (same admitted batch => same visited/levels),
 //   * the counter identities submitted = admitted + shed and
 //     admitted = completed + expired hold in every configuration,
-//   * pipelined and serial execution produce identical outcomes,
 // plus targeted tests for backpressure shedding, deadline expiry, the two
-// batch-sealing triggers (width / max-linger), determinism, and the
-// cgraph_service_* metrics surface.
+// batch-sealing triggers (width / max-linger, including an infinite
+// linger), determinism, and the metrics surface.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "cgraph/cgraph.hpp"
@@ -142,59 +143,6 @@ TEST(Service, AcceptanceSweepCleanChaosCrash) {
       }
       expect_batches_match_offline(w, machines, arrivals, run);
     }
-  }
-}
-
-// Pipelined (admission overlapped with execution on a worker thread) and
-// serial execution must produce byte-identical outcomes: every decision is
-// a pure function of arrival times and simulated makespans.
-TEST(Service, PipelinedMatchesSerial) {
-  const PartitionId machines = 2;
-  World w(machines, /*scale=*/7, /*seed=*/101);
-  PoissonArrivalParams ap;
-  ap.rate_qps = 5000;
-  ap.count = 48;
-  ap.seed = 9;
-  const auto arrivals = make_poisson_arrivals(w.graph, ap);
-
-  ServiceRunResult runs[2];
-  for (const bool pipelined : {true, false}) {
-    Cluster cluster(machines);
-    obs::MetricsRegistry registry;
-    ServiceOptions opts;
-    opts.scheduler.batch_width = 8;
-    opts.scheduler.threads = 2;
-    opts.scheduler.metrics = &registry;
-    opts.queue_cap = 12;
-    opts.deadline_seconds = 0.05;
-    opts.linger_seconds = 2e-4;
-    opts.pipeline = pipelined;
-    runs[pipelined ? 0 : 1] = run_query_service(cluster, w.shards,
-                                                w.partition, arrivals, opts);
-  }
-  const ServiceRunResult& a = runs[0];
-  const ServiceRunResult& b = runs[1];
-  EXPECT_TRUE(a.stats.identities_hold());
-  EXPECT_EQ(a.stats.shed, b.stats.shed);
-  EXPECT_EQ(a.stats.expired, b.stats.expired);
-  EXPECT_EQ(a.stats.completed, b.stats.completed);
-  EXPECT_EQ(a.stats.batches, b.stats.batches);
-  EXPECT_EQ(a.stats.peak_queue_depth, b.stats.peak_queue_depth);
-  EXPECT_EQ(a.makespan_sim_seconds, b.makespan_sim_seconds);
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (std::size_t i = 0; i < a.queries.size(); ++i) {
-    EXPECT_EQ(a.queries[i].outcome, b.queries[i].outcome) << "query " << i;
-    EXPECT_EQ(a.queries[i].batch_index, b.queries[i].batch_index);
-    EXPECT_EQ(a.queries[i].queue_wait_sim_seconds,
-              b.queries[i].queue_wait_sim_seconds);
-    EXPECT_EQ(a.queries[i].response_sim_seconds,
-              b.queries[i].response_sim_seconds);
-    EXPECT_EQ(a.queries[i].visited, b.queries[i].visited);
-  }
-  ASSERT_EQ(a.batches.size(), b.batches.size());
-  for (std::size_t i = 0; i < a.batches.size(); ++i) {
-    EXPECT_EQ(a.batches[i].executed, b.batches[i].executed) << "batch " << i;
-    EXPECT_EQ(a.batches[i].start_sim_seconds, b.batches[i].start_sim_seconds);
   }
 }
 
@@ -402,6 +350,50 @@ TEST(Service, WidthAndZeroLingerSealing) {
   }
 }
 
+// An infinite linger has no seal timer: spread arrivals seal only when a
+// batch is full, and the tail seals at the last arrival instead of never
+// starting. This is the closed-stream shape run_concurrent_queries uses.
+TEST(Service, InfiniteLingerSealsOnWidthAndStreamEnd) {
+  const PartitionId machines = 2;
+  World w(machines, /*scale=*/6);
+  std::vector<double> stamps;
+  for (int i = 0; i < 20; ++i) stamps.push_back(0.004 * i);
+  const auto arrivals = make_trace_arrivals(w.graph, stamps, /*k=*/2, 19);
+
+  Cluster cluster(machines);
+  obs::MetricsRegistry registry;
+  ServiceOptions opts;
+  opts.scheduler.batch_width = 8;
+  opts.scheduler.metrics = &registry;
+  opts.queue_cap = 0;
+  opts.linger_seconds = std::numeric_limits<double>::infinity();
+  const auto run = run_query_service(cluster, w.shards, w.partition,
+                                     arrivals, opts);
+
+  ASSERT_EQ(run.batches.size(), 3u);
+  EXPECT_EQ(run.batches[0].admitted, 8u);
+  EXPECT_EQ(run.batches[0].seal_sim_seconds, stamps[7]);
+  EXPECT_EQ(run.batches[1].admitted, 8u);
+  EXPECT_EQ(run.batches[1].seal_sim_seconds, stamps[15]);
+  EXPECT_EQ(run.batches[2].admitted, 4u);
+  EXPECT_EQ(run.batches[2].seal_sim_seconds, stamps.back());
+  double prev_finish = 0;
+  for (const ServiceBatchRecord& b : run.batches) {
+    EXPECT_EQ(b.start_sim_seconds,
+              std::max(b.seal_sim_seconds, prev_finish));
+    prev_finish = b.start_sim_seconds + b.makespan_sim_seconds;
+  }
+  EXPECT_EQ(run.stats.completed, arrivals.size());
+  EXPECT_TRUE(std::isfinite(run.makespan_sim_seconds));
+  EXPECT_EQ(run.makespan_sim_seconds, prev_finish);
+  for (const TimedQuery& tq : arrivals) {
+    const ServiceQueryRecord& rec = run.queries[tq.query.id];
+    EXPECT_TRUE(std::isfinite(rec.response_sim_seconds));
+    EXPECT_EQ(rec.visited,
+              khop_reach_count(w.graph, tq.query.source, tq.query.k));
+  }
+}
+
 // Degree-sorted batching inside the service window: answers stay exact,
 // the effective policy is reported, and the batch replay still matches the
 // offline scheduler (which applies the same stable sort).
@@ -494,16 +486,16 @@ TEST(Service, MetricsPublishedAndConsistent) {
             static_cast<double>(s.expired));
   EXPECT_EQ(registry.counter("cgraph_service_completed_total").value(),
             static_cast<double>(s.completed));
-  EXPECT_EQ(registry.histogram("cgraph_service_response_seconds").count(),
+  EXPECT_EQ(registry.histogram("cgraph_query_response_sim_seconds").count(),
             s.completed);
-  EXPECT_EQ(registry.histogram("cgraph_service_queue_wait_seconds").count(),
+  EXPECT_EQ(registry.histogram("cgraph_query_queue_wait_sim_seconds").count(),
             s.admitted);
-  EXPECT_EQ(registry.histogram("cgraph_service_execute_seconds").count(),
+  EXPECT_EQ(registry.histogram("cgraph_query_execute_sim_seconds").count(),
             s.completed);
 
   const std::string prom = registry.to_prometheus();
   EXPECT_NE(prom.find("cgraph_service_submitted_total"), std::string::npos);
-  EXPECT_NE(prom.find("cgraph_service_response_seconds_bucket"),
+  EXPECT_NE(prom.find("cgraph_query_response_sim_seconds_bucket"),
             std::string::npos);
   EXPECT_NE(prom.find("cgraph_service_peak_queue_depth"), std::string::npos);
 
