@@ -507,7 +507,9 @@ int cmd_batch_replicated(const Options& opts,
                     rstats[r].heartbeat_misses_total));
   }
   for (Cluster* c : replicas) print_recovery_report(*c);
-  replicas[0]->publish_metrics(obs::MetricsRegistry::global());
+  // The service already published every batch's machine and fabric
+  // counters; only the recovery counters live on the cluster.
+  replicas[0]->publish_recovery_metrics(obs::MetricsRegistry::global());
   return 0;
 }
 
@@ -557,9 +559,9 @@ int cmd_batch(const Options& opts) {
               run.batches,
               AsciiTable::humanize(run.peak_memory_bytes).c_str());
   print_recovery_report(cluster);
-  // The scheduler publishes superstep/fabric counters itself, but the
-  // recovery counters live on the cluster.
-  cluster.publish_metrics(obs::MetricsRegistry::global());
+  // The service already published every batch's machine and fabric
+  // counters; only the recovery counters live on the cluster.
+  cluster.publish_recovery_metrics(obs::MetricsRegistry::global());
   return 0;
 }
 

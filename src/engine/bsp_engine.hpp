@@ -11,7 +11,6 @@
 
 #include "engine/partition_context.hpp"
 #include "net/cluster.hpp"
-#include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace cgraph {
@@ -64,7 +63,6 @@ BspStats run_partition_programs(
   std::atomic<std::uint64_t> superstep_count{0};
 
   cluster.reset_for_run();
-  obs::TraceSpan span("bsp_run");
   WallTimer wall;
   cluster.run([&](MachineContext& mc) {
     PartitionContext<M> ctx(mc, shards[mc.id()], partition);

@@ -179,7 +179,7 @@ std::uint64_t ReachIndex::fingerprint() const {
 void publish_index_metrics(obs::MetricsRegistry& registry,
                            const ReachIndex& index) {
   registry
-      .gauge("cgraph_index_build_seconds",
+      .gauge("cgraph_index_build_sim_seconds",
              "Modeled offline construction cost of the reachability index")
       .set(index.stats().build_sim_seconds);
   registry

@@ -81,7 +81,7 @@ struct IndexBuildStats {
   std::uint64_t label_bytes = 0;
   std::uint64_t gate_bytes = 0;
   /// Modeled offline construction cost under the cluster CostModel (the
-  /// number reported as cgraph_index_build_seconds).
+  /// number reported as cgraph_index_build_sim_seconds).
   double build_sim_seconds = 0;
 };
 
@@ -168,7 +168,7 @@ class ReachIndex {
       std::make_shared<std::atomic<Epoch>>(0);
 };
 
-/// Publish the index's build-side series (cgraph_index_build_seconds,
+/// Publish the index's build-side series (cgraph_index_build_sim_seconds,
 /// cgraph_index_memory_bytes) into `registry`. The probe-side counters
 /// (cgraph_index_{hit,miss,fallback}_total) are owned by the service
 /// front end that issues the probes.

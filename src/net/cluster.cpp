@@ -207,7 +207,7 @@ void MachineContext::barrier() {
   // Own-slot fields only; the sim-wait field of this slot is written by
   // the completion callback while every machine is parked in the barrier,
   // so the accesses never overlap.
-  MachineTelemetry& mt = cluster_.telemetry_.machines[id_];
+  obs::MachineTrace& mt = cluster_.telemetry_.machines[id_];
   mt.barrier_wait_wall_seconds += wait_timer.seconds();
   mt.supersteps += 1;
   if (obs::tracing_enabled()) {
@@ -667,108 +667,70 @@ double Cluster::sim_seconds() const {
 }
 
 void Cluster::reset_telemetry() {
-  for (auto& m : telemetry_.machines) m = MachineTelemetry{};
+  for (auto& m : telemetry_.machines) m = obs::MachineTrace{};
   telemetry_.supersteps.clear();
 }
 
-void Cluster::publish_metrics(obs::MetricsRegistry& reg) const {
-  for (PartitionId i = 0; i < num_machines(); ++i) {
-    const obs::Labels ml{{"machine", std::to_string(i)}};
-    const MachineTelemetry& m = telemetry_.machines[i];
-    reg.counter("cgraph_machine_supersteps_total",
-                "BSP supersteps executed per machine", ml)
-        .inc(static_cast<double>(m.supersteps));
-    reg.counter("cgraph_machine_barrier_wait_sim_seconds_total",
-                "Simulated idle time waiting at barriers per machine", ml)
-        .inc(m.barrier_wait_sim_seconds);
-    reg.counter("cgraph_machine_barrier_wait_wall_seconds_total",
-                "Host wall-clock blocked at barriers per machine", ml)
-        .inc(m.barrier_wait_wall_seconds);
-    const TrafficCounters& t = fabric_.sent_counters(i);
-    reg.counter("cgraph_fabric_staged_packets_total",
-                "BSP (staged) packets sent per machine", ml)
-        .inc(static_cast<double>(
-            t.staged_packets.load(std::memory_order_relaxed)));
-    reg.counter("cgraph_fabric_staged_bytes_total",
-                "BSP (staged) bytes sent per machine", ml)
-        .inc(static_cast<double>(
-            t.staged_bytes.load(std::memory_order_relaxed)));
-    reg.counter("cgraph_fabric_async_packets_total",
-                "Async packets sent per machine", ml)
-        .inc(static_cast<double>(
-            t.async_packets.load(std::memory_order_relaxed)));
-    reg.counter("cgraph_fabric_async_bytes_total",
-                "Async bytes sent per machine", ml)
-        .inc(static_cast<double>(
-            t.async_bytes.load(std::memory_order_relaxed)));
-    // Delivery outcomes: exact per-attempt accounting, meaningful (and
-    // non-zero) once a FaultPlan is installed on the fabric.
-    const struct {
-      const char* name;
-      const char* help;
-      std::uint64_t value;
-    } outcomes[] = {
-        {"cgraph_fabric_delivered_packets_total",
-         "Mailbox deposits (duplicates included) per sending machine",
-         t.delivered_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_dropped_packets_total",
-         "Transmission attempts dropped by the fault layer",
-         t.dropped_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_duplicated_packets_total",
-         "Attempts delivered twice by the fault layer",
-         t.duplicated_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_reordered_packets_total",
-         "Attempts delivered ahead of earlier undrained traffic",
-         t.reordered_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_delayed_packets_total",
-         "Attempts held in the receiver's limbo queue",
-         t.delayed_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_retried_packets_total",
-         "Retransmission attempts (staged retry loop + async ack timeouts)",
-         t.retried_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_delivery_failed_packets_total",
-         "Packets abandoned after the bounded retry budget",
-         t.delivery_failed_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_ack_packets_total",
-         "Acknowledgement frames sent by the reliable async protocol",
-         t.ack_packets.load(std::memory_order_relaxed)},
-        {"cgraph_fabric_dedup_suppressed_packets_total",
-         "Duplicate deliveries suppressed by receiver dedup filters",
-         t.dedup_suppressed_packets.load(std::memory_order_relaxed)},
-    };
-    for (const auto& o : outcomes) {
-      reg.counter(o.name, o.help, ml).inc(static_cast<double>(o.value));
-    }
+std::vector<obs::MachineTrace> Cluster::machine_traces() const {
+  const auto load = [](const std::atomic<std::uint64_t>& a) {
+    return a.load(std::memory_order_relaxed);
+  };
+  std::vector<obs::MachineTrace> traces = telemetry_.machines;
+  for (PartitionId m = 0; m < traces.size(); ++m) {
+    obs::MachineTrace& mt = traces[m];
+    mt.machine = m;
+    const TrafficCounters& tc = fabric_.sent_counters(m);
+    mt.staged_packets = load(tc.staged_packets);
+    mt.staged_bytes = load(tc.staged_bytes);
+    mt.async_packets = load(tc.async_packets);
+    mt.async_bytes = load(tc.async_bytes);
+    mt.delivered_packets = load(tc.delivered_packets);
+    mt.dropped_packets = load(tc.dropped_packets);
+    mt.duplicated_packets = load(tc.duplicated_packets);
+    mt.reordered_packets = load(tc.reordered_packets);
+    mt.delayed_packets = load(tc.delayed_packets);
+    mt.retried_packets = load(tc.retried_packets);
+    mt.ack_packets = load(tc.ack_packets);
+    mt.delivery_failed_packets = load(tc.delivery_failed_packets);
+    mt.dedup_suppressed_packets = load(tc.dedup_suppressed_packets);
   }
+  return traces;
+}
+
+void Cluster::publish_metrics(obs::MetricsRegistry& reg) const {
+  obs::publish_machine_traces(reg, machine_traces());
   if (!telemetry_.supersteps.empty()) {
     reg.gauge("cgraph_straggler_ratio",
               "Mean max/mean machine step time of the latest run")
         .set(telemetry_.straggler_ratio());
   }
-  if (recovery_enabled_) {
-    const RecoveryStats& r = recovery_stats_;
-    reg.counter("cgraph_recovery_crashes_total",
-                "Crash-stop machine failures injected by the fault plan")
-        .inc(static_cast<double>(r.crashes));
-    reg.counter("cgraph_recovery_supersteps_replayed_total",
-                "Supersteps re-executed while recovering from crashes")
-        .inc(static_cast<double>(r.supersteps_replayed));
-    reg.counter("cgraph_recovery_checkpoints_total",
-                "Machine checkpoints taken at superstep barriers")
-        .inc(static_cast<double>(r.checkpoints_taken));
-    reg.counter("cgraph_recovery_checkpoint_bytes_total",
-                "Serialized machine state bytes checkpointed")
-        .inc(static_cast<double>(r.checkpoint_bytes));
-    reg.counter("cgraph_recovery_checkpoint_seconds_total",
-                "Host wall-clock spent serializing checkpoints")
-        .inc(r.checkpoint_seconds);
-    reg.counter("cgraph_recovery_restore_seconds_total",
-                "Host wall-clock spent restoring from checkpoints")
-        .inc(r.restore_seconds);
-    reg.counter("cgraph_recovery_queries_reexecuted_total",
-                "Queries re-executed because a crash touched their batch")
-        .inc(static_cast<double>(r.queries_reexecuted));
-  }
+  publish_recovery_metrics(reg);
+}
+
+void Cluster::publish_recovery_metrics(obs::MetricsRegistry& reg) const {
+  if (!recovery_enabled_) return;
+  const RecoveryStats& r = recovery_stats_;
+  reg.counter("cgraph_recovery_crashes_total",
+              "Crash-stop machine failures injected by the fault plan")
+      .inc(static_cast<double>(r.crashes));
+  reg.counter("cgraph_recovery_supersteps_replayed_total",
+              "Supersteps re-executed while recovering from crashes")
+      .inc(static_cast<double>(r.supersteps_replayed));
+  reg.counter("cgraph_recovery_checkpoints_total",
+              "Machine checkpoints taken at superstep barriers")
+      .inc(static_cast<double>(r.checkpoints_taken));
+  reg.counter("cgraph_recovery_checkpoint_bytes_total",
+              "Serialized machine state bytes checkpointed")
+      .inc(static_cast<double>(r.checkpoint_bytes));
+  reg.counter("cgraph_recovery_checkpoint_wall_seconds_total",
+              "Host wall-clock spent serializing checkpoints")
+      .inc(r.checkpoint_seconds);
+  reg.counter("cgraph_recovery_restore_wall_seconds_total",
+              "Host wall-clock spent restoring from checkpoints")
+      .inc(r.restore_seconds);
+  reg.counter("cgraph_recovery_queries_reexecuted_total",
+              "Queries re-executed because a crash touched their batch")
+      .inc(static_cast<double>(r.queries_reexecuted));
 }
 
 }  // namespace cgraph

@@ -23,21 +23,10 @@
 #include "net/cost_model.hpp"
 #include "net/fabric.hpp"
 #include "net/fault.hpp"
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cgraph {
-
-/// Per-machine telemetry accumulated by MachineContext::barrier().
-/// `barrier_wait_sim_seconds` is the simulated idle time waiting for the
-/// slowest machine (how far the barrier advanced this clock, barrier cost
-/// excluded); `barrier_wait_wall_seconds` is host time blocked in the
-/// barrier primitive.
-struct MachineTelemetry {
-  std::uint64_t supersteps = 0;
-  double barrier_wait_sim_seconds = 0;
-  double barrier_wait_wall_seconds = 0;
-};
 
 /// Per-superstep telemetry recorded by the barrier completion callback.
 struct SuperstepTelemetry {
@@ -48,7 +37,8 @@ struct SuperstepTelemetry {
 };
 
 struct ClusterTelemetry {
-  std::vector<MachineTelemetry> machines;
+  /// Barrier fields per machine; Cluster::machine_traces() adds traffic.
+  std::vector<obs::MachineTrace> machines;
   std::vector<SuperstepTelemetry> supersteps;
 
   /// Mean straggler ratio across recorded supersteps (0 if none).
@@ -141,7 +131,7 @@ struct RecoveryOptions {
   std::string checkpoint_dir;
 };
 
-/// Counters surfaced as cgraph_recovery_* through publish_metrics.
+/// Counters surfaced as cgraph_recovery_* through publish_recovery_metrics.
 struct RecoveryStats {
   std::uint64_t crashes = 0;
   std::uint64_t supersteps_replayed = 0;
@@ -435,10 +425,16 @@ class Cluster {
   }
   void reset_telemetry();
 
-  /// Publish per-machine superstep/barrier/fabric counters and the mean
-  /// straggler ratio into `registry` (cgraph_machine_*, cgraph_fabric_*,
-  /// cgraph_straggler_ratio).
+  /// Per-machine record of the run since the last reset: the barrier
+  /// telemetry combined with the fabric's sent counters. Safe to read once
+  /// run() has returned.
+  [[nodiscard]] std::vector<obs::MachineTrace> machine_traces() const;
+
+  /// Publish machine_traces(), the straggler ratio and the recovery
+  /// counters. For runs outside the service, which publishes its batches.
   void publish_metrics(obs::MetricsRegistry& registry) const;
+  /// Publish the cgraph_recovery_* counters (when recovery is enabled).
+  void publish_recovery_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   friend class MachineContext;

@@ -4,14 +4,80 @@
 
 namespace cgraph::obs {
 
-void TraceSpan::finish() {
-  if (finished_ || registry_ == nullptr) return;
-  finished_ = true;
-  registry_
-      ->histogram("cgraph_span_seconds",
-                  "Wall-clock duration of named trace spans",
-                  {{"span", name_}})
-      .observe(timer_.seconds());
+namespace {
+
+/// One MachineTrace field and the per-machine series it is exported as.
+template <typename T>
+struct MachineSeries {
+  T MachineTrace::*field;
+  const char* name;
+  const char* help;
+};
+
+constexpr MachineSeries<double> kMachineSeconds[] = {
+    {&MachineTrace::barrier_wait_sim_seconds,
+     "cgraph_machine_barrier_wait_sim_seconds_total",
+     "Simulated idle time waiting at barriers per machine"},
+    {&MachineTrace::barrier_wait_wall_seconds,
+     "cgraph_machine_barrier_wait_wall_seconds_total",
+     "Host wall-clock blocked at barriers per machine"},
+};
+
+constexpr MachineSeries<std::uint64_t> kMachineCounts[] = {
+    {&MachineTrace::supersteps, "cgraph_machine_supersteps_total",
+     "BSP supersteps executed per machine"},
+    {&MachineTrace::staged_packets, "cgraph_fabric_staged_packets_total",
+     "BSP (staged) packets sent per machine"},
+    {&MachineTrace::staged_bytes, "cgraph_fabric_staged_bytes_total",
+     "BSP (staged) bytes sent per machine"},
+    {&MachineTrace::async_packets, "cgraph_fabric_async_packets_total",
+     "Async packets sent per machine"},
+    {&MachineTrace::async_bytes, "cgraph_fabric_async_bytes_total",
+     "Async bytes sent per machine"},
+    // Delivery outcomes: exact per-attempt accounting, non-zero once a
+    // FaultPlan is installed on the fabric.
+    {&MachineTrace::delivered_packets, "cgraph_fabric_delivered_packets_total",
+     "Mailbox deposits (duplicates included) per sending machine"},
+    {&MachineTrace::dropped_packets, "cgraph_fabric_dropped_packets_total",
+     "Transmission attempts dropped by the fault layer"},
+    {&MachineTrace::duplicated_packets,
+     "cgraph_fabric_duplicated_packets_total",
+     "Attempts delivered twice by the fault layer"},
+    {&MachineTrace::reordered_packets, "cgraph_fabric_reordered_packets_total",
+     "Attempts delivered ahead of earlier undrained traffic"},
+    {&MachineTrace::delayed_packets, "cgraph_fabric_delayed_packets_total",
+     "Attempts held in the receiver's limbo queue"},
+    {&MachineTrace::retried_packets, "cgraph_fabric_retried_packets_total",
+     "Retransmission attempts (staged retry loop + async ack timeouts)"},
+    {&MachineTrace::ack_packets, "cgraph_fabric_ack_packets_total",
+     "Acknowledgement frames sent by the reliable async protocol"},
+    {&MachineTrace::delivery_failed_packets,
+     "cgraph_fabric_delivery_failed_packets_total",
+     "Packets abandoned after the bounded retry budget"},
+    {&MachineTrace::dedup_suppressed_packets,
+     "cgraph_fabric_dedup_suppressed_packets_total",
+     "Duplicate deliveries suppressed by receiver dedup filters"},
+};
+
+}  // namespace
+
+MachineTrace& MachineTrace::operator+=(const MachineTrace& o) {
+  for (const auto& s : kMachineSeconds) this->*s.field += o.*s.field;
+  for (const auto& s : kMachineCounts) this->*s.field += o.*s.field;
+  return *this;
+}
+
+void publish_machine_traces(MetricsRegistry& reg,
+                            const std::vector<MachineTrace>& traces) {
+  for (const MachineTrace& m : traces) {
+    const Labels ml{{"machine", std::to_string(m.machine)}};
+    for (const auto& s : kMachineSeconds) {
+      reg.counter(s.name, s.help, ml).inc(m.*s.field);
+    }
+    for (const auto& s : kMachineCounts) {
+      reg.counter(s.name, s.help, ml).inc(static_cast<double>(m.*s.field));
+    }
+  }
 }
 
 std::uint64_t BatchTrace::edges_scanned() const {
@@ -33,8 +99,6 @@ std::uint64_t RunTelemetry::total_edges_scanned() const {
 }
 
 void RunTelemetry::publish(MetricsRegistry& reg) const {
-  reg.counter("cgraph_queries_total", "Queries answered by the scheduler")
-      .inc(static_cast<double>(queries.size()));
   reg.counter("cgraph_query_batches_total",
               "Bit-parallel batches executed by the scheduler")
       .inc(static_cast<double>(batches.size()));
@@ -59,6 +123,7 @@ void RunTelemetry::publish(MetricsRegistry& reg) const {
                     "Per-batch simulated makespan");
   double straggler_sum = 0;
   std::size_t straggler_n = 0;
+  std::vector<MachineTrace> machine_totals;
   for (const BatchTrace& b : batches) {
     exec.observe(b.execute_sim_seconds);
     if (b.straggler_ratio > 0) {
@@ -77,7 +142,7 @@ void RunTelemetry::publish(MetricsRegistry& reg) const {
       reg.counter("cgraph_superstep_bit_ops_total",
                   "Bitmap words processed per traversal level", lv)
           .inc(static_cast<double>(l.bit_ops));
-      reg.counter("cgraph_superstep_barrier_wait_seconds_total",
+      reg.counter("cgraph_superstep_barrier_wait_sim_seconds_total",
                   "Simulated barrier idle time per traversal level "
                   "(summed over machines)",
                   lv)
@@ -86,7 +151,7 @@ void RunTelemetry::publish(MetricsRegistry& reg) const {
                   "Intra-machine pool chunks executed per traversal level",
                   lv)
           .inc(static_cast<double>(l.parallel_tasks));
-      reg.counter("cgraph_superstep_steal_wait_seconds_total",
+      reg.counter("cgraph_superstep_steal_wait_wall_seconds_total",
                   "Host seconds machine threads spent joining their "
                   "compute pools per traversal level",
                   lv)
@@ -110,62 +175,16 @@ void RunTelemetry::publish(MetricsRegistry& reg) const {
           .set(static_cast<double>(l.scout_edges));
     }
 
-    for (const MachineTrace& m : b.machines) {
-      const Labels ml{{"machine", std::to_string(m.machine)}};
-      reg.counter("cgraph_machine_supersteps_total",
-                  "BSP supersteps executed per machine", ml)
-          .inc(static_cast<double>(m.supersteps));
-      reg.counter("cgraph_machine_barrier_wait_sim_seconds_total",
-                  "Simulated idle time waiting at barriers per machine", ml)
-          .inc(m.barrier_wait_sim_seconds);
-      reg.counter("cgraph_machine_barrier_wait_wall_seconds_total",
-                  "Host wall-clock blocked at barriers per machine", ml)
-          .inc(m.barrier_wait_wall_seconds);
-      reg.counter("cgraph_fabric_staged_packets_total",
-                  "BSP (staged) packets sent per machine", ml)
-          .inc(static_cast<double>(m.staged_packets));
-      reg.counter("cgraph_fabric_staged_bytes_total",
-                  "BSP (staged) bytes sent per machine", ml)
-          .inc(static_cast<double>(m.staged_bytes));
-      reg.counter("cgraph_fabric_async_packets_total",
-                  "Async packets sent per machine", ml)
-          .inc(static_cast<double>(m.async_packets));
-      reg.counter("cgraph_fabric_async_bytes_total",
-                  "Async bytes sent per machine", ml)
-          .inc(static_cast<double>(m.async_bytes));
-      const struct {
-        const char* name;
-        const char* help;
-        std::uint64_t value;
-      } outcomes[] = {
-          {"cgraph_fabric_delivered_packets_total",
-           "Mailbox deposits (duplicates included) per sending machine",
-           m.delivered_packets},
-          {"cgraph_fabric_dropped_packets_total",
-           "Transmission attempts dropped by the fault layer",
-           m.dropped_packets},
-          {"cgraph_fabric_duplicated_packets_total",
-           "Attempts delivered twice by the fault layer",
-           m.duplicated_packets},
-          {"cgraph_fabric_retried_packets_total",
-           "Retransmission attempts (staged retry loop + async ack "
-           "timeouts)",
-           m.retried_packets},
-          {"cgraph_fabric_ack_packets_total",
-           "Acknowledgement frames sent by the reliable async protocol",
-           m.ack_packets},
-          {"cgraph_fabric_delivery_failed_packets_total",
-           "Packets abandoned after the bounded retry budget",
-           m.delivery_failed_packets},
-          {"cgraph_fabric_dedup_suppressed_packets_total",
-           "Duplicate deliveries suppressed by receiver dedup filters",
-           m.dedup_suppressed_packets},
-      };
-      for (const auto& o : outcomes) {
-        reg.counter(o.name, o.help, ml).inc(static_cast<double>(o.value));
+    // Counters are sums: fold the batches per machine, publish once.
+    for (std::size_t i = 0; i < b.machines.size(); ++i) {
+      if (i == machine_totals.size()) {
+        machine_totals.push_back(b.machines[i]);
+      } else {
+        machine_totals[i] += b.machines[i];
       }
     }
   }
+  publish_machine_traces(reg, machine_totals);
   if (straggler_n > 0) {
     reg.gauge("cgraph_straggler_ratio",
               "Mean max/mean machine step time of the latest run")

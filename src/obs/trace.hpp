@@ -1,4 +1,4 @@
-// Trace spans and structured run telemetry for the query path.
+// Structured run telemetry for the query path.
 //
 // Engines record what actually happened (per-level frontier sizes, edges,
 // bitmap word ops) into LevelTrace rows; the query service wraps them with
@@ -14,55 +14,8 @@
 
 #include "graph/types.hpp"
 #include "obs/metrics.hpp"
-#include "util/timer.hpp"
 
 namespace cgraph::obs {
-
-/// RAII wall-clock span. On finish (or destruction) the duration lands in
-/// the `cgraph_span_seconds{span="<name>"}` histogram of the registry, so
-/// any scope becomes a scrape-able latency series.
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string name,
-                     MetricsRegistry* registry = &MetricsRegistry::global())
-      : name_(std::move(name)), registry_(registry) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  /// Moves transfer ownership of the recording: the moved-from span is
-  /// left finished, so factory helpers can return spans by value without
-  /// double-recording.
-  TraceSpan(TraceSpan&& other) noexcept
-      : name_(std::move(other.name_)),
-        registry_(other.registry_),
-        timer_(other.timer_),
-        finished_(other.finished_) {
-    other.finished_ = true;
-  }
-  TraceSpan& operator=(TraceSpan&& other) noexcept {
-    if (this != &other) {
-      finish();  // close our own span before adopting the other
-      name_ = std::move(other.name_);
-      registry_ = other.registry_;
-      timer_ = other.timer_;
-      finished_ = other.finished_;
-      other.finished_ = true;
-    }
-    return *this;
-  }
-  ~TraceSpan() { finish(); }
-
-  /// Elapsed seconds so far (the span keeps running).
-  [[nodiscard]] double seconds() const { return timer_.seconds(); }
-
-  /// Record the span now; later finish()/destruction is a no-op.
-  void finish();
-
- private:
-  std::string name_;
-  MetricsRegistry* registry_;
-  WallTimer timer_;
-  bool finished_ = false;
-};
 
 /// One traversal level (= one frontier expansion, two BSP supersteps in
 /// the distributed engines) of one batch.
@@ -94,8 +47,12 @@ struct LevelTrace {
   std::uint64_t scout_edges = 0;
 };
 
-/// Per-machine counters for one batch, snapshotted from the cluster and
-/// fabric after the batch ran.
+/// Per-machine counters of one cluster run (one batch). The barrier
+/// fields accumulate in ClusterTelemetry while the run executes:
+/// `barrier_wait_sim_seconds` is the simulated idle time waiting for the
+/// slowest machine (barrier cost excluded), `barrier_wait_wall_seconds` is
+/// host time blocked in the barrier primitive. Cluster::machine_traces()
+/// adds the fabric's sent counters and is the only builder of a full record.
 struct MachineTrace {
   std::uint32_t machine = 0;
   std::uint64_t supersteps = 0;
@@ -111,11 +68,22 @@ struct MachineTrace {
   std::uint64_t delivered_packets = 0;
   std::uint64_t dropped_packets = 0;
   std::uint64_t duplicated_packets = 0;
+  std::uint64_t reordered_packets = 0;
+  std::uint64_t delayed_packets = 0;
   std::uint64_t retried_packets = 0;
   std::uint64_t ack_packets = 0;
   std::uint64_t delivery_failed_packets = 0;
   std::uint64_t dedup_suppressed_packets = 0;
+
+  /// Field-wise sum of the counters (`machine` is kept).
+  MachineTrace& operator+=(const MachineTrace& o);
 };
+
+/// Push one record per machine into `registry` as the
+/// cgraph_machine_*_total and cgraph_fabric_*_total{machine=...} counters.
+/// The only publisher of those series.
+void publish_machine_traces(MetricsRegistry& registry,
+                            const std::vector<MachineTrace>& traces);
 
 /// One bit-parallel (or queue-mode) batch of the concurrent scheduler.
 struct BatchTrace {
@@ -163,12 +131,12 @@ struct RunTelemetry {
   [[nodiscard]] std::uint64_t total_edges_scanned() const;
 
   /// Push counters/histograms for this run into `registry`:
-  ///   cgraph_queries_total, cgraph_query_batches_total,
+  ///   cgraph_query_batches_total,
   ///   cgraph_query_edges_scanned_total, cgraph_query_bit_ops_total,
   ///   cgraph_batch_execute_sim_seconds (histogram),
   ///   cgraph_superstep_*_total{level=...} per traversal level,
-  ///   cgraph_machine_*_total{machine=...} and cgraph_fabric_*_total
-  ///   per machine, cgraph_straggler_ratio (gauge).
+  ///   the per-machine series of publish_machine_traces (summed over the
+  ///   run's batches), cgraph_straggler_ratio (gauge).
   void publish(MetricsRegistry& registry) const;
 
   /// Human-readable per-level summary for logs / debugging.

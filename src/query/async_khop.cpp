@@ -4,7 +4,6 @@
 
 #include "engine/superstep.hpp"
 #include "net/serialize.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
 
@@ -63,7 +62,6 @@ MsBfsBatchResult run_async_khop(Cluster& cluster,
   std::atomic<std::uint64_t> state_bytes_total{0};
 
   cluster.reset_for_run();
-  obs::TraceSpan span("run_async_khop");
   WallTimer wall;
 
   // Crash recovery, async flavor: there is no superstep replay. Each

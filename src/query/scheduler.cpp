@@ -62,8 +62,6 @@ BatchExecutor::Outcome BatchExecutor::execute(
                    "visited-plane capture requires the bit-parallel engine");
 
   Outcome out;
-  out.trace.index = batches_executed_;
-  out.trace.width = batch.size();
   out.trace.policy = to_string(policy_);
 
   // Query failover accounting: a crash inside the batch forces the engine
@@ -80,7 +78,6 @@ BatchExecutor::Outcome BatchExecutor::execute(
     cluster_.add_queries_reexecuted(batch.size());
     out.reexecuted = true;
   }
-  ++batches_executed_;
 
   // Memory-pressure model: in-flight traversal state plus all retained
   // results; overshooting the budget stretches simulated time linearly.
@@ -106,34 +103,7 @@ BatchExecutor::Outcome BatchExecutor::execute(
   out.trace.execute_wall_seconds = out.result.wall_seconds;
   out.trace.straggler_ratio = cluster_.telemetry().straggler_ratio();
   out.trace.levels = out.result.level_trace;
-  const ClusterTelemetry& ct = cluster_.telemetry();
-  for (PartitionId m = 0; m < cluster_.num_machines(); ++m) {
-    obs::MachineTrace mt;
-    mt.machine = m;
-    if (m < ct.machines.size()) {
-      mt.supersteps = ct.machines[m].supersteps;
-      mt.barrier_wait_sim_seconds = ct.machines[m].barrier_wait_sim_seconds;
-      mt.barrier_wait_wall_seconds =
-          ct.machines[m].barrier_wait_wall_seconds;
-    }
-    const TrafficCounters& tc = cluster_.fabric().sent_counters(m);
-    mt.staged_packets = tc.staged_packets.load(std::memory_order_relaxed);
-    mt.staged_bytes = tc.staged_bytes.load(std::memory_order_relaxed);
-    mt.async_packets = tc.async_packets.load(std::memory_order_relaxed);
-    mt.async_bytes = tc.async_bytes.load(std::memory_order_relaxed);
-    mt.delivered_packets =
-        tc.delivered_packets.load(std::memory_order_relaxed);
-    mt.dropped_packets = tc.dropped_packets.load(std::memory_order_relaxed);
-    mt.duplicated_packets =
-        tc.duplicated_packets.load(std::memory_order_relaxed);
-    mt.retried_packets = tc.retried_packets.load(std::memory_order_relaxed);
-    mt.ack_packets = tc.ack_packets.load(std::memory_order_relaxed);
-    mt.delivery_failed_packets =
-        tc.delivery_failed_packets.load(std::memory_order_relaxed);
-    mt.dedup_suppressed_packets =
-        tc.dedup_suppressed_packets.load(std::memory_order_relaxed);
-    out.trace.machines.push_back(mt);
-  }
+  out.trace.machines = cluster_.machine_traces();
   return out;
 }
 

@@ -132,9 +132,6 @@ class BatchExecutor {
   [[nodiscard]] std::uint64_t retained_result_bytes() const {
     return retained_result_bytes_;
   }
-  [[nodiscard]] std::size_t batches_executed() const {
-    return batches_executed_;
-  }
 
   /// Replicated serving: N replicas implement ONE logical service, so the
   /// cross-batch memory-retention model ("every query returns with found
@@ -157,7 +154,6 @@ class BatchExecutor {
   BatchPolicy policy_;
   std::uint64_t retained_result_bytes_ = 0;
   std::uint64_t peak_memory_bytes_ = 0;
-  std::size_t batches_executed_ = 0;
 };
 
 struct ConcurrentRunResult {

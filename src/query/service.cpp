@@ -53,18 +53,7 @@ class ServicePipeline {
         queue_depth_high_water_(registry.gauge(
             "cgraph_service_queue_depth",
             "Admitted-but-unstarted queries in the service queue",
-            {{"stat", "high_water"}})),
-        index_hits_(registry.counter(
-            "cgraph_index_hit_total",
-            "Point queries answered conclusively by the reachability "
-            "index bypass lane")),
-        index_misses_(registry.counter(
-            "cgraph_index_miss_total",
-            "Point-query index probes that returned unknown")),
-        index_fallbacks_(registry.counter(
-            "cgraph_index_fallback_total",
-            "Point queries resolved by the traversal engine after an "
-            "unknown index probe")) {
+            {{"stat", "high_water"}})) {
     result_.queries.resize(arrivals.size());
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
       ServiceQueryRecord& r = result_.queries[i];
@@ -135,7 +124,6 @@ class ServicePipeline {
           r.queue_wait_sim_seconds = 0;
           r.execute_sim_seconds = probe_sim;
           r.response_sim_seconds = probe_sim;
-          index_hits_.inc();
           if (opts_.router != nullptr) {
             // Attribution only: the bypass lane reads shared immutable
             // index state, so routing the hit to a healthy replica never
@@ -157,8 +145,7 @@ class ServicePipeline {
           }
           continue;
         }
-        index_misses_.inc();
-        ++index_miss_tally_;
+        ++result_.stats.index_misses;
       }
 
       // Backpressure: shed when the admitted-but-unstarted population at
@@ -493,10 +480,7 @@ class ServicePipeline {
         if (batch[i].is_point() && want_visited) {
           r.reachable =
               visited_plane.test(batch[i].target, i) ? 1 : 0;
-          if (opts_.index != nullptr) {
-            index_fallbacks_.inc();
-            ++index_fallback_tally_;
-          }
+          if (opts_.index != nullptr) ++result_.stats.index_fallbacks;
         }
 
         obs::QueryTrace qt;
@@ -602,8 +586,6 @@ class ServicePipeline {
       }
     }
     s.admitted = s.completed + s.expired;
-    s.index_misses = index_miss_tally_;
-    s.index_fallbacks = index_fallback_tally_;
     s.batches = result_.batches.size();
     for (const ServiceBatchRecord& b : result_.batches) {
       s.failovers += b.failovers;
@@ -626,13 +608,8 @@ class ServicePipeline {
   ServiceRunResult& result_;
   obs::Gauge& queue_depth_current_;
   obs::Gauge& queue_depth_high_water_;
-  obs::Counter& index_hits_;
-  obs::Counter& index_misses_;
-  obs::Counter& index_fallbacks_;
 
   std::vector<PendingQuery> pending_;
-  std::uint64_t index_miss_tally_ = 0;
-  std::uint64_t index_fallback_tally_ = 0;
   double server_free_ = 0;
   double last_finish_ = 0;
   // Batches [0, started_) have started by the latest arrival; unstarted_
@@ -642,7 +619,7 @@ class ServicePipeline {
 };
 
 void publish_service_metrics(obs::MetricsRegistry& reg,
-                             const ServiceRunResult& result) {
+                             const ServiceRunResult& result, bool has_index) {
   const ServiceStats& s = result.stats;
   reg.counter("cgraph_service_submitted_total",
               "Queries that arrived at the service front end")
@@ -670,6 +647,19 @@ void publish_service_metrics(obs::MetricsRegistry& reg,
                 "Admitted queries dropped at failover re-dispatch "
                 "(deadline passed or failover budget exhausted)")
         .inc(static_cast<double>(s.failover_shed));
+  }
+  if (has_index) {
+    reg.counter("cgraph_index_hit_total",
+                "Point queries answered conclusively by the reachability "
+                "index bypass lane")
+        .inc(static_cast<double>(s.index_answered));
+    reg.counter("cgraph_index_miss_total",
+                "Point-query index probes that returned unknown")
+        .inc(static_cast<double>(s.index_misses));
+    reg.counter("cgraph_index_fallback_total",
+                "Point queries resolved by the traversal engine after an "
+                "unknown index probe")
+        .inc(static_cast<double>(s.index_fallbacks));
   }
 
   obs::LogHistogram& response = reg.histogram(
@@ -726,24 +716,22 @@ ServiceRunResult run_query_service(Cluster& cluster,
   obs::MetricsRegistry& registry = opts.scheduler.metrics != nullptr
                                        ? *opts.scheduler.metrics
                                        : obs::MetricsRegistry::global();
-  obs::TraceSpan run_span("run_query_service", &registry);
-
   ServiceRunResult result;
   ServicePipeline pipeline(cluster, shards, partition, arrivals, opts,
                            registry, result);
   pipeline.run();
 
-  run_span.finish();
   result.telemetry.publish(registry);
-  publish_service_metrics(registry, result);
+  publish_service_metrics(registry, result, opts.index != nullptr);
   if (opts.index != nullptr && opts.index->mode() != IndexMode::kOff) {
     publish_index_metrics(registry, *opts.index);
   }
-  // Mutation-layer gauges (DESIGN.md §15): epoch the shards have reached,
-  // uncompacted delta events awaiting the next compaction, and the bytes
-  // those event sets hold.
-  {
-    const std::span<const SubgraphShard> sv(shards.data(), shards.size());
+  // Mutation-layer gauges (DESIGN.md §15), once any mutation landed: epoch
+  // the shards have reached, uncompacted delta events awaiting the next
+  // compaction, and the bytes those event sets hold.
+  const Epoch epoch = current_epoch(
+      std::span<const SubgraphShard>(shards.data(), shards.size()));
+  if (epoch > 0) {
     std::uint64_t events = 0;
     std::uint64_t bytes = 0;
     for (const SubgraphShard& s : shards) {
@@ -753,7 +741,7 @@ ServiceRunResult run_query_service(Cluster& cluster,
     registry
         .gauge("cgraph_mutation_epoch",
                "Highest mutation epoch applied to the serving shards")
-        .set(static_cast<double>(current_epoch(sv)));
+        .set(static_cast<double>(epoch));
     registry
         .gauge("cgraph_mutation_delta_events",
                "Uncompacted delta edge events across all shards")

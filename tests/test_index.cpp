@@ -473,7 +473,7 @@ TEST(IndexService, ProbesAreTracedAndMetricsPublished) {
   EXPECT_NE(prom.find("cgraph_index_hit_total"), std::string::npos);
   EXPECT_NE(prom.find("cgraph_index_miss_total"), std::string::npos);
   EXPECT_NE(prom.find("cgraph_index_fallback_total"), std::string::npos);
-  EXPECT_NE(prom.find("cgraph_index_build_seconds"), std::string::npos);
+  EXPECT_NE(prom.find("cgraph_index_build_sim_seconds"), std::string::npos);
   EXPECT_NE(prom.find("cgraph_index_memory_bytes"), std::string::npos);
 }
 

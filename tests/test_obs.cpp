@@ -1,6 +1,6 @@
 // Tests for the observability subsystem: registry concurrency, exposition
-// formats, trace spans, and reconciliation of scheduler telemetry against
-// ConcurrentRunResult aggregates.
+// formats, one publisher per record, and reconciliation of scheduler
+// telemetry against ConcurrentRunResult aggregates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,21 +144,6 @@ TEST(LogHistogram, BucketsAndPercentiles) {
   EXPECT_LE(h.percentile(50), 64.0);
 }
 
-TEST(TraceSpan, RecordsIntoRegistry) {
-  obs::MetricsRegistry reg;
-  {
-    obs::TraceSpan span("unit_test", &reg);
-  }
-  obs::TraceSpan finished("explicit", &reg);
-  finished.finish();
-  finished.finish();  // double-finish is a no-op
-  const std::string text = reg.to_prometheus();
-  EXPECT_NE(text.find("cgraph_span_seconds_bucket{span=\"unit_test\""),
-            std::string::npos);
-  EXPECT_NE(text.find("cgraph_span_seconds_count{span=\"explicit\"} 1"),
-            std::string::npos);
-}
-
 struct Fixture {
   Graph graph;
   RangePartition partition;
@@ -218,13 +203,13 @@ void check_run_telemetry(const ConcurrentRunResult& run,
 
   const std::string text = reg.to_prometheus();
   std::ostringstream want_queries;
-  want_queries << "cgraph_queries_total " << nqueries << "\n";
+  want_queries << "cgraph_service_completed_total " << nqueries << "\n";
   EXPECT_NE(text.find(want_queries.str()), std::string::npos);
   EXPECT_NE(text.find("cgraph_query_response_sim_seconds_count "),
             std::string::npos);
   EXPECT_NE(text.find("cgraph_superstep_edges_total{level=\"0\"}"),
             std::string::npos);
-  EXPECT_NE(text.find("cgraph_superstep_barrier_wait_seconds_total"),
+  EXPECT_NE(text.find("cgraph_superstep_barrier_wait_sim_seconds_total"),
             std::string::npos);
   EXPECT_NE(text.find("cgraph_machine_supersteps_total{machine=\"0\"}"),
             std::string::npos);
@@ -342,6 +327,85 @@ TEST(SchedulerTelemetry, SummaryMentionsEveryLevel) {
                 std::string::npos);
     }
   }
+}
+
+// Sample lines of the cgraph_machine_* and cgraph_fabric_* series, in
+// exposition order.
+std::vector<std::string> machine_series_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("cgraph_machine_", 0) == 0 ||
+        line.rfind("cgraph_fabric_", 0) == 0) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+// The service publishing a batch and the cluster publishing the same run
+// go through one publisher, so they export the same per-machine series —
+// the fault layer's reordered and delayed counts included.
+TEST(SchedulerTelemetry, ClusterAndServicePublishOneMachineSeries) {
+  Fixture f(2);
+  auto plan = std::make_shared<FaultPlan>(7);
+  plan->add_trigger({0, 1, 0, FaultAction::kReorder});
+  plan->add_trigger({0, 1, 1, FaultAction::kDelay});
+  f.cluster.fabric().install_fault_plan(plan);
+
+  const auto queries = make_random_queries(f.graph, 32, 3, 17);
+  obs::MetricsRegistry service_reg;
+  SchedulerOptions opts;
+  opts.metrics = &service_reg;
+  const auto run = run_concurrent_queries(f.cluster, f.shards, f.partition,
+                                          queries, opts);
+  ASSERT_EQ(run.batches, 1u);
+  obs::MetricsRegistry cluster_reg;
+  f.cluster.publish_metrics(cluster_reg);
+
+  const auto service_lines =
+      machine_series_lines(service_reg.to_prometheus());
+  EXPECT_FALSE(service_lines.empty());
+  EXPECT_EQ(service_lines, machine_series_lines(cluster_reg.to_prometheus()));
+
+  const obs::MachineTrace& m0 = run.telemetry.batches[0].machines[0];
+  EXPECT_EQ(m0.reordered_packets, 1u);
+  EXPECT_EQ(m0.delayed_packets, 1u);
+  const std::string text = service_reg.to_prometheus();
+  EXPECT_NE(
+      text.find("cgraph_fabric_reordered_packets_total{machine=\"0\"} 1\n"),
+      std::string::npos);
+  EXPECT_NE(
+      text.find("cgraph_fabric_delayed_packets_total{machine=\"0\"} 1\n"),
+      std::string::npos);
+
+  f.cluster.fabric().install_fault_plan(nullptr);
+}
+
+// A run without an index exports no index counters, and a run on shards
+// no mutation has reached exports no mutation gauges.
+TEST(SchedulerTelemetry, NoIndexOrMutationSeriesWithoutThem) {
+  Fixture f(2, /*scale=*/8);
+  const auto queries = make_random_queries(f.graph, 16, 2, 3);
+  SchedulerOptions opts;
+  obs::MetricsRegistry frozen;
+  opts.metrics = &frozen;
+  (void)run_concurrent_queries(f.cluster, f.shards, f.partition, queries,
+                               opts);
+  const std::string text = frozen.to_prometheus();
+  EXPECT_EQ(text.find("cgraph_index_"), std::string::npos);
+  EXPECT_EQ(text.find("cgraph_mutation_"), std::string::npos);
+
+  // Once a mutation lands, the gauges appear.
+  const MutationOp op{MutationKind::kInsertEdge, 0, 1};
+  apply_mutations(std::span<SubgraphShard>(f.shards),
+                  std::span<const MutationOp>(&op, 1), 1);
+  obs::MetricsRegistry mutated;
+  opts.metrics = &mutated;
+  (void)run_concurrent_queries(f.cluster, f.shards, f.partition, queries,
+                               opts);
+  EXPECT_NE(mutated.to_prometheus().find("cgraph_mutation_epoch 1\n"),
+            std::string::npos);
 }
 
 TEST(Sink, WritesPrometheusAndJsonFiles) {

@@ -206,7 +206,7 @@ TEST(ParallelScheduler, ThreadsOptionDrivesPoolsAndTelemetry) {
   const std::string page = registry.to_prometheus();
   EXPECT_NE(page.find("cgraph_superstep_parallel_tasks_total"),
             std::string::npos);
-  EXPECT_NE(page.find("cgraph_superstep_steal_wait_seconds_total"),
+  EXPECT_NE(page.find("cgraph_superstep_steal_wait_wall_seconds_total"),
             std::string::npos);
 }
 

@@ -18,7 +18,6 @@
 #include "obs/event_tracer.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "query/scheduler.hpp"
 #include "query/service.hpp"
@@ -133,36 +132,6 @@ TEST(EventTracer, BatchContextRebasesMachineEventsOnly) {
       EXPECT_EQ(ev.batch, -1);
     }
   }
-}
-
-// Satellite: TraceSpan moves transfer ownership of the recording and
-// finish() is idempotent — no double-counted spans from factory helpers.
-TEST(TraceSpan, MoveTransfersRecordingAndFinishIsIdempotent) {
-  obs::MetricsRegistry reg;
-  {
-    obs::TraceSpan a("moved_span", &reg);
-    obs::TraceSpan b(std::move(a));  // a must not record on destruction
-    b.finish();
-    b.finish();  // idempotent: second finish is a no-op
-  }
-  EXPECT_EQ(reg.histogram("cgraph_span_seconds", "",
-                          {{"span", "moved_span"}})
-                .count(),
-            1u);
-
-  {
-    obs::TraceSpan c("assigned_from", &reg);
-    obs::TraceSpan d("assigned_to", &reg);
-    d = std::move(c);  // closes d's own span, then adopts c's
-  }
-  EXPECT_EQ(reg.histogram("cgraph_span_seconds", "",
-                          {{"span", "assigned_to"}})
-                .count(),
-            1u);
-  EXPECT_EQ(reg.histogram("cgraph_span_seconds", "",
-                          {{"span", "assigned_from"}})
-                .count(),
-            1u);
 }
 
 TEST(TraceExport, ChromeTraceNamesEveryTrack) {
